@@ -7,7 +7,8 @@ Product nodes are named "g@h" with '@' reserved for that purpose.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import or_
 from collections.abc import Iterable
 
 from .words import Word, check_symbol
@@ -106,54 +107,69 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(names.values(), edges)
 
 
-def _interleaved(p: list[int], q: list[int]) -> bool:
-    """True iff the two sorted position lists strictly interleave.
+def _alternation_masks(w: Word) -> tuple[dict[str, int], list[int]]:
+    """Each symbol's bit, numbered by first occurrence, and for each symbol
+    the bitset of the later-starting symbols it alternates with.
 
-    Equivalent to the restriction of the word to the two symbols having no
-    adjacent equal letters, but runs on precomputed positions so that
-    all-pairs scans over large alphabets stay affordable.
+    One sweep over the word: ``classes[j]`` holds the symbols seen exactly
+    j times so far.  At the i-th occurrence of x, x is in class i-1, and
+    that class is ANDed into x's accumulator.  A symbol y survives iff
+    exactly i-1 copies of y precede the i-th x for every i, which means y
+    starts after x and one y falls between consecutive x's.  With
+    count(y) <= count(x) at most one y follows the last x, so x and y
+    alternate.  Every alternating pair lands in the mask of the symbol
+    that comes first; the sweep costs O(|w|) big-integer operations.
     """
-    if len(p) < len(q):
-        p, q = q, p
-    if len(p) - len(q) > 1:
-        return False
-    if len(p) == len(q):
-        if not p:
-            return True
-        if p[0] > q[0]:
-            p, q = q, p
-        return all(p[i] < q[i] for i in range(len(p))) and all(
-            q[i] < p[i + 1] for i in range(len(p) - 1)
-        )
-    return all(p[i] < q[i] for i in range(len(q))) and all(
-        q[i] < p[i + 1] for i in range(len(q))
-    )
-
-
-def _positions(w: Word) -> dict[str, list[int]]:
-    pos: dict[str, list[int]] = {}
-    for i, x in enumerate(w):
-        pos.setdefault(x, []).append(i)
-    return pos
+    bit = {x: i for i, x in enumerate(w.counts)}
+    n = len(bit)
+    classes = [(1 << n) - 1] + [0] * max(w.counts.values(), default=0)
+    seen = [0] * n
+    acc = [-1] * n
+    for x in w.letters:
+        i = bit[x]
+        j = seen[i]
+        acc[i] &= classes[j]
+        classes[j] ^= 1 << i
+        classes[j + 1] |= 1 << i
+        seen[i] = j + 1
+    at_most = list(accumulate(classes, or_))  # at_most[c]: symbols occurring <= c times
+    return bit, [acc[i] & at_most[seen[i]] & ~(1 << i) for i in range(n)]
 
 
 def graph_of_word(w: Word) -> Graph:
-    """The graph on alphabet(w) whose edges are the alternating pairs."""
-    pos = _positions(w)
-    names = sorted(pos)
-    edges = [
-        (x, y) for x, y in combinations(names, 2) if _interleaved(pos[x], pos[y])
-    ]
-    return Graph(names, edges)
+    """The graph on alphabet(w) whose edges are the alternating pairs.
+
+    Built from one sweep over the word with a big-integer bitset per
+    symbol, so it costs O(|w|) big-integer operations rather than a test
+    of every pair.
+    """
+    bit, masks = _alternation_masks(w)
+    symbols = list(bit)
+    edges = []
+    for x, mask in zip(symbols, masks):
+        while mask:
+            low = mask & -mask
+            edges.append((x, symbols[low.bit_length() - 1]))
+            mask ^= low
+    return Graph(symbols, edges)
 
 
 def represents(w: Word, g: Graph) -> bool:
-    """True iff graph_of_word(w) equals g exactly (names and edges)."""
-    pos = _positions(w)
-    if set(pos) != g.nodes:
+    """True iff graph_of_word(w) equals g exactly (names and edges).
+
+    False at once when the alphabet and the node set differ.  Otherwise
+    one O(|w|) sweep gives each symbol's alternation bitset, which is
+    compared with its neighbours in g that first occur later in w.
+    """
+    if w.alphabet != g.nodes:
         return False
-    for x, y in combinations(sorted(pos), 2):
-        if _interleaved(pos[x], pos[y]) != g.adjacent(x, y):
+    bit, masks = _alternation_masks(w)
+    for x, i in bit.items():
+        later = 0
+        for y in g.neighbors(x):
+            if bit[y] > i:
+                later |= 1 << bit[y]
+        if masks[i] != later:
             return False
     return True
 

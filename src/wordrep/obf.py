@@ -54,10 +54,8 @@ class OccurrenceBasedFunction:
                 if (x, i) not in table:
                     raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
                 image = table[(x, i)]
-                toks = image.letters if isinstance(image, Word) else tuple(image)
-                for tok in toks:
-                    check_symbol(tok)
-                tab[(x, i)] = toks
+                tab[(x, i)] = image.letters if isinstance(image, Word) else tuple(image)
+        Word(tok for toks in tab.values() for tok in toks)  # validates each distinct token once
         self.domain = dom
         self.bound = bound
         self.table = tab

@@ -33,7 +33,8 @@ class Word:
     Accepts an iterable of tokens or a single whitespace-separated string,
     which is also the serialized form: ``Word("3 1 4 2")`` equals
     ``Word(["3", "1", "4", "2"])``.  Multi-character symbols are therefore
-    unambiguous.  The empty word is allowed.
+    unambiguous.  The empty word is allowed.  Each distinct token is
+    validated once.  ``counts`` lists the symbols in first-occurrence order.
     """
 
     __slots__ = ("letters", "counts", "_hash")
@@ -42,10 +43,16 @@ class Word:
         if isinstance(letters, str):
             letters = letters.split()
         seq = tuple(letters)
-        for tok in seq:
+        try:
+            counts = Counter(seq)
+        except TypeError:
+            for tok in seq:
+                check_symbol(tok)  # rejects the unhashable token: it is no str
+            raise ValueError("invalid symbol token: unhashable value") from None
+        for tok in counts:
             check_symbol(tok)
         self.letters: tuple[str, ...] = seq
-        self.counts: dict[str, int] = dict(Counter(seq))
+        self.counts: dict[str, int] = dict(counts)
         self._hash = hash(seq)
 
     @property

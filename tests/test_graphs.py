@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from wordrep import (
     cartesian_product,
     complete,
     cube,
+    cube_word,
     cycle,
     graph_from_edges_text,
     graph_from_json,
@@ -105,6 +107,11 @@ def test_graph_of_word_examples():
     for n in (1, 3, 5):
         assert graph_of_word(Word([str(i) for i in range(1, n + 1)])) == complete(n)
     assert graph_of_word(Word("1 1 2 2")) == Graph(["1", "2"])
+    assert graph_of_word(Word()) == Graph([])
+    assert graph_of_word(Word("x x x")) == Graph(["x"])
+    assert graph_of_word(Word("a b a")) == Graph(["a", "b"], [("a", "b")])
+    assert graph_of_word(Word("a b b a")) == Graph(["a", "b"])
+    assert graph_of_word(Word("a b a a")) == Graph(["a", "b"])  # counts 2 apart
 
 
 def test_graph_of_word_is_reversal_invariant():
@@ -120,6 +127,9 @@ def test_represents_examples():
     assert represents(Word("1 2"), complete(2))
     assert not represents(Word("1 2 1 2"), complete(3))  # node sets differ
     assert not represents(SEED_WORD, complete(4))
+    assert represents(Word(), Graph([]))
+    assert not represents(Word(), complete(1))
+    assert represents(Word("x"), Graph(["x"]))
 
 
 def test_represents_graph_of_word_round_trip():
@@ -127,6 +137,66 @@ def test_represents_graph_of_word_round_trip():
     for _ in range(100):
         w = Word(rng.choices(["a", "b", "c", "d"], k=rng.randint(1, 12)))
         assert represents(w, graph_of_word(w))
+
+
+def restriction_alternates(letters, x, y):
+    """Pairwise oracle: the restriction to {x, y} has no two equal neighbours."""
+    kept = [t for t in letters if t == x or t == y]
+    return all(a != b for a, b in zip(kept, kept[1:]))
+
+
+def oracle_graph(w):
+    names = sorted(set(w.letters))
+    pairs = [(x, y) for x, y in combinations(names, 2) if restriction_alternates(w.letters, x, y)]
+    return Graph(names, pairs)
+
+
+def random_nonuniform_word(rng):
+    """Up to 6 symbols, each with its own count in 1..5, shuffled; every
+    tenth word is empty and about one in eight has a single symbol."""
+    size = 0 if rng.random() < 0.1 else rng.choice([1, 2, 2, 3, 4, 5, 6, 6])
+    letters = []
+    for s in range(size):
+        letters += [f"s{s}"] * rng.randint(1, 5)
+    rng.shuffle(letters)
+    return Word(letters)
+
+
+def test_sweep_matches_pairwise_oracle_on_nonuniform_words():
+    rng = random.Random(2718)
+    seen_shapes = set()  # (count difference capped at 2, alternates?)
+    sizes = set()
+    for _ in range(2500):
+        w = random_nonuniform_word(rng)
+        expected = oracle_graph(w)
+        assert graph_of_word(w) == expected, w
+        assert represents(w, expected), w
+        sizes.add(len(w.alphabet))
+        for x, y in combinations(sorted(w.alphabet), 2):
+            diff = min(abs(w.counts[x] - w.counts[y]), 2)
+            seen_shapes.add((diff, expected.adjacent(x, y)))
+            flipped = set(expected.edges) ^ {(x, y)}
+            assert not represents(w, Graph(expected.nodes, flipped)), (w, x, y)
+        if w.letters:
+            renamed = sorted(expected.nodes - {w.letters[0]}) + ["other"]
+            assert not represents(w, Graph(renamed))
+        assert not represents(w, Graph(expected.nodes | {"extra"}, expected.edges))
+    assert {0, 1} <= sizes and max(sizes) == 6
+    # alternating pairs with equal counts and counts one apart, and pairs
+    # two or more apart, which never alternate
+    assert {(0, True), (0, False), (1, True), (1, False), (2, False)} <= seen_shapes
+    assert (2, True) not in seen_shapes
+
+
+def test_cube_12_verifies_in_linear_time():
+    # A test of every pair took 35-39 s on this word (Python 3.11, 2-core
+    # x86-64); the single sweep takes well under a second there.
+    started = time.perf_counter()
+    w = cube_word(12)
+    g = cube(12)
+    assert represents(w, g)
+    assert graph_of_word(w) == g
+    assert time.perf_counter() - started < 20.0
 
 
 def test_isomorphic_identity_and_absence():

@@ -31,6 +31,15 @@ def test_table_must_be_total():
         OccurrenceBasedFunction({"a"}, 2, {("a", 1): ("a",)})
 
 
+def test_image_tokens_are_validated():
+    with pytest.raises(ValueError, match="not ok"):
+        OccurrenceBasedFunction.from_rule({"a", "b"}, 3, lambda x, i: (x, "not ok") if i == 3 else (x,))
+    with pytest.raises(ValueError):
+        OccurrenceBasedFunction.from_rule({"a"}, 2, lambda x, i: (x, ["list"]))
+    with pytest.raises(ValueError):
+        OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a@",)})
+
+
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         OccurrenceBasedFunction({"a"}, 0, {})

@@ -39,6 +39,14 @@ def test_symbol_validation():
 def test_word_rejects_bad_tokens():
     with pytest.raises(ValueError):
         Word(["ok", "not ok"])
+    with pytest.raises(ValueError, match="x-y"):
+        Word(["a", "b"] * 5000 + ["x-y"])  # one bad token after many good ones
+    with pytest.raises(ValueError):
+        Word(["a", 7])
+    with pytest.raises(ValueError):
+        Word(["a", ["b"]])  # unhashable
+    with pytest.raises(ValueError):
+        Word("a b a b é")
 
 
 def test_restrict_examples():
