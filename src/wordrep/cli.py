@@ -332,9 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     repnum.add_argument("--timings", action="store_true",
                         help="include measured millis in the JSON output")
     repnum.add_argument("--use-automorphisms", action="store_true",
-                        help="restrict first letters to node-orbit representatives")
+                        help="fix the first letter to the smallest node (a rotation of "
+                             "a representant is one too); answers and witnesses are unchanged")
     repnum.add_argument("--use-reversal", action="store_true",
-                        help="skip words whose reversal is smaller and still searched")
+                        help="accepted for compatibility; no effect, since the witness "
+                             "is already the smallest representant, reversals included")
     repnum.set_defaults(func=cmd_repnum)
 
     selftest = sub.add_parser("selftest", help="replay the randomized property checks")

@@ -188,8 +188,12 @@ def _search_order(g: Graph) -> list[str]:
     return order
 
 
-def _isomorphism(g: Graph, h: Graph, forced: dict[str, str] | None = None) -> dict[str, str] | None:
-    """Backtracking isomorphism search with degree pruning; None if absent."""
+def isomorphic(g: Graph, h: Graph) -> dict[str, str] | None:
+    """An adjacency-preserving node bijection, or None.
+
+    Brute force with degree pruning; meant for the small graphs handled
+    here (up to around 16 nodes).
+    """
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return None
     if sorted(g.degree(v) for v in g.nodes) != sorted(h.degree(v) for v in h.nodes):
@@ -205,14 +209,7 @@ def _isomorphism(g: Graph, h: Graph, forced: dict[str, str] | None = None) -> di
                 return False
         return True
 
-    if forced:
-        for a, b in forced.items():
-            if a not in g.nodes or b not in h.nodes or b in used or not consistent(a, b):
-                return None
-            mapping[a] = b
-            used.add(b)
-
-    order = [v for v in _search_order(g) if v not in mapping]
+    order = _search_order(g)
     h_sorted = sorted(h.nodes)
 
     def extend(i: int) -> bool:
@@ -233,37 +230,6 @@ def _isomorphism(g: Graph, h: Graph, forced: dict[str, str] | None = None) -> di
         return False
 
     return dict(mapping) if extend(0) else None
-
-
-def isomorphic(g: Graph, h: Graph) -> dict[str, str] | None:
-    """An adjacency-preserving node bijection, or None.
-
-    Brute force with degree pruning; meant for the small graphs handled
-    here (up to around 16 nodes).
-    """
-    return _isomorphism(g, h)
-
-
-def automorphism_orbits(g: Graph) -> list[frozenset[str]]:
-    """Partition of the nodes into automorphism orbits.
-
-    Two nodes share an orbit iff some automorphism maps one to the other;
-    decided by isomorphism searches with a single forced assignment.
-    """
-    reps: list[str] = []
-    orbit_of: dict[str, str] = {}
-    for v in sorted(g.nodes):
-        for r in reps:
-            if g.degree(v) == g.degree(r) and _isomorphism(g, g, {r: v}) is not None:
-                orbit_of[v] = r
-                break
-        else:
-            reps.append(v)
-            orbit_of[v] = v
-    groups: dict[str, set[str]] = {r: set() for r in reps}
-    for v, r in orbit_of.items():
-        groups[r].add(v)
-    return [frozenset(groups[r]) for r in reps]
 
 
 def graph_to_edges_text(g: Graph) -> str:

@@ -2,12 +2,15 @@
 
 The trusted-because-simple oracle: depth-first over word positions,
 branching over symbols in lexicographic order.  With pruning on, an edge
-pair that stops alternating kills the branch immediately and non-edge
-pairs are checked once both symbols are fully placed.  With pruning off
-the search enumerates every k-uniform word and tests each leaf, which is
-what the completeness tests compare against.  Every witness is re-checked
-with represents() before being returned, so no reduction can produce a
-false positive.
+pair that stops alternating kills the branch immediately, and a non-edge
+pair that still alternates kills it as soon as one of its symbols is
+complete, since the other's last copy, if any, can only extend the
+alternation.  Every leaf reached then represents the graph,
+so the first one is the lexicographically smallest representant.  With
+pruning off the search enumerates every k-uniform word and tests each
+leaf, which is what the completeness tests compare against.  Every
+witness is re-checked with represents() before being returned, so no
+reduction can produce a false positive.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, automorphism_orbits, represents
+from .graphs import Graph, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -82,11 +85,15 @@ def is_k_representable(
 ) -> SearchOutcome:
     """Search the k-uniform words over the nodes of g for a representant.
 
-    Exhaustive up to the optional symmetry reductions, which only discard
-    words whose reversal or automorphic image is still searched:
-    use_automorphisms restricts the first letter to one representative per
-    node orbit, and use_reversal drops a completed word when its reversal
-    is lexicographically smaller and still has an allowed first letter.
+    The witness, when there is one, is the lexicographically smallest
+    k-uniform representant over the sorted node names.  use_automorphisms
+    fixes the first letter to the smallest node: any cyclic shift of a
+    uniform representant is again one (Kitaev & Pyatkin 2008), so some
+    representant starts with that node, and the smallest one does.  This
+    shrinks exhausted searches and changes no answer or witness.
+    use_reversal is accepted for compatibility and has no effect: a
+    representant's reversal is one too, and the smaller of the two is
+    always reached first.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -104,16 +111,12 @@ def is_k_representable(
         [u for u in range(n) if u != x and u not in set(nbrs[x])] for x in range(n)
     ]
 
-    allowed_first: frozenset[int] | None = None
-    if use_automorphisms:
-        allowed_first = frozenset(index[min(orbit)] for orbit in automorphism_orbits(g))
-
     counts = [0] * n
     last_pos = [-1] * n
     broken = [bytearray(n) for _ in range(n)]
     word = [0] * total
     all_ids = list(range(n))
-    first_ids = sorted(allowed_first) if allowed_first is not None else all_ids
+    first_ids = [0] if use_automorphisms else all_ids
 
     explored = 0
     witness: Word | None = None
@@ -122,12 +125,7 @@ def is_k_representable(
     def descend(p: int) -> bool:
         nonlocal explored, witness
         if p == total:
-            ids = tuple(word)
-            if use_reversal:
-                rev = ids[::-1]
-                if rev < ids and (allowed_first is None or rev[0] in allowed_first):
-                    return False
-            cand = Word(names[i] for i in ids)
+            cand = Word(names[i] for i in word)
             if represents(cand, g):
                 witness = cand
                 return True
@@ -152,9 +150,13 @@ def is_k_representable(
             explored += 1
             viable = True
             if prune and counts[x] == k:
+                # Alternation keeps two counts within one, so a non-edge u
+                # that still alternates with the complete x has k - 1 or k
+                # copies, and a last u can only follow the last x: the pair
+                # would alternate in every completion.
                 bx = broken[x]
                 for u in non_nbrs[x]:
-                    if counts[u] == k and not bx[u]:
+                    if not bx[u]:
                         viable = False
                         break
             if viable and descend(p + 1):

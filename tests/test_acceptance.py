@@ -151,13 +151,6 @@ def test_complete_product_representation_numbers():
     assert elapsed < 60, f"took {elapsed:.1f}s"
 
 
-@pytest.mark.extended
-def test_complete_product_n4_not_2_representable():
-    # 16 word positions; excluded from the default run, select with -m extended
-    g = cartesian_product(complete(4), complete(2))
-    assert is_k_representable(g, 2).result == "exhausted"
-
-
 @criterion(6, "same-node copies alternate through the whole product word (all criteria 2-3 outputs)")
 def test_diagonal_alternation_identity():
     for seed in (1002, 1003):
@@ -171,7 +164,42 @@ def test_diagonal_alternation_identity():
                         assert len(restrict(out, {a, b})) == 2 * k_out
 
 
-@criterion(7, "reduced and unreduced searches agree on every graph with at most 5 nodes at k <= 2, and every witness verifies")
+def reference_search(g, k):
+    """Reference search written from the definition, in the same
+    lexicographic order: a branch dies only when an edge pair stops
+    alternating, or when a non-edge pair still alternates with both symbols
+    complete, and every first letter is tried.  Returns (word or None,
+    explored), counting placements that pass the edge check."""
+    names = sorted(g.nodes)
+    word, counts, explored = [], dict.fromkeys(names, 0), 0
+
+    def repeats(x, u):
+        r = [c for c in word if c in (x, u)]
+        return any(a == b for a, b in zip(r, r[1:]))
+
+    def descend():
+        nonlocal explored
+        if len(word) == len(names) * k:
+            return True
+        for x in names:
+            if counts[x] == k:
+                continue
+            word.append(x)
+            counts[x] += 1
+            if not any(repeats(x, u) for u in g.neighbors(x)):
+                explored += 1
+                if all(counts[u] < k or repeats(x, u) for u in names
+                       if counts[x] == k and u != x and not g.adjacent(x, u)) and descend():
+                    return True
+            word.pop()
+            counts[x] -= 1
+        return False
+
+    return (Word(word) if descend() else None), explored
+
+
+@criterion(7, "plain and reduced searches match an independent reference search in result and witness word "
+              "on every graph with at most 5 nodes at k <= 2, and every witness verifies")
 def test_search_reduction_equivalence():
     started = time.perf_counter()
     for size in range(1, 6):
@@ -180,11 +208,15 @@ def test_search_reduction_equivalence():
         for mask in range(2 ** len(pairs)):
             g = Graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
             for k in (1, 2):
+                ref_word, ref_explored = reference_search(g, k)
                 plain = is_k_representable(g, k)
                 reduced = is_k_representable(g, k, use_automorphisms=True, use_reversal=True)
-                assert plain.found == reduced.found, (sorted(g.edges), k)
                 for o in (plain, reduced):
+                    assert o.word == ref_word, (sorted(g.edges), k, o.word, ref_word)
+                    assert o.result == ("witness" if ref_word is not None else "exhausted")
                     if o.found:
                         assert represents(o.word, g)
+                if ref_word is None:
+                    assert reduced.explored <= plain.explored <= ref_explored, (sorted(g.edges), k)
     elapsed = time.perf_counter() - started
     assert elapsed < 120, f"took {elapsed:.1f}s"

@@ -8,7 +8,6 @@ from wordrep import (
     Graph,
     NamingConflictError,
     Word,
-    automorphism_orbits,
     cartesian_product,
     complete,
     cube,
@@ -213,17 +212,6 @@ def test_isomorphic_mapping_preserves_adjacency():
     assert phi is not None and sorted(phi.values()) == sorted(h.nodes)
     for u, v in combinations(g.nodes, 2):
         assert g.adjacent(u, v) == h.adjacent(phi[u], phi[v])
-
-
-def test_automorphism_orbits():
-    assert automorphism_orbits(complete(3)) == [frozenset({"1", "2", "3"})]
-    path = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
-    assert sorted(automorphism_orbits(path), key=len) == [
-        frozenset({"2"}),
-        frozenset({"1", "3"}),
-    ]
-    prism = cartesian_product(cycle(3), complete(2))
-    assert automorphism_orbits(prism) == [frozenset(prism.nodes)]
 
 
 def test_edges_text_round_trip():

@@ -163,6 +163,26 @@ def test_symmetry_reductions_change_nothing():
             assert reduced.explored <= plain.explored
 
 
+@pytest.mark.parametrize(
+    "make, plain_explored, reduced_explored",
+    [
+        (lambda: cartesian_product(complete(3), complete(2)), 4_104, 684),
+        (lambda: cartesian_product(complete(4), complete(2)), 217_600, 27_200),
+        (lambda: cube(3), 270_352, 33_794),
+    ],
+    ids=["K3xK2", "K4xK2", "Q3"],
+)
+def test_pinned_k2_exhaustion_counts(make, plain_explored, reduced_explored):
+    # the k = 2 exhaustions behind the paper's lower bounds (K4xK2 is the
+    # 16-position one); explored counts do not depend on the machine, so a
+    # change to the pruning rules has to update them on purpose
+    g = make()
+    plain = is_k_representable(g, 2)
+    reduced = is_k_representable(g, 2, use_automorphisms=True)
+    assert plain.result == reduced.result == "exhausted"
+    assert (plain.explored, reduced.explored) == (plain_explored, reduced_explored)
+
+
 def test_witness_extends_to_higher_uniformity():
     # a k-witness implies a (k+1)-witness via occurrence extension
     for g in (cycle(4), cycle(5), complete(3)):
