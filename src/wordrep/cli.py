@@ -8,6 +8,7 @@ resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from itertools import combinations
@@ -280,7 +281,25 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process, on the first main() call: parsing leaves no
+    # state in the parser, and the handler is looked up per call in main().
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representable graphs: constructions, checking, and search.",
@@ -293,12 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = gen_kind.add_parser(kind)
         p.add_argument(f"-{flag}", type=int, required=True)
         p.add_argument("--format", choices=("edges", "json"), default="edges")
-        p.set_defaults(func=cmd_gen)
     p = gen_kind.add_parser("product")
     p.add_argument("left", help="graph file ('-' for stdin)")
     p.add_argument("right", help="graph file ('-' for stdin)")
     p.add_argument("--format", choices=("edges", "json"), default="edges")
-    p.set_defaults(func=cmd_gen)
 
     construct = sub.add_parser("construct", help="emit a constructed representant word")
     con_kind = construct.add_subparsers(dest="kind", required=True)
@@ -316,17 +333,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", nargs="?", default="-", help="word file ('-' for stdin)")
     for p in con_kind.choices.values():
         p.add_argument("--verify", action="store_true", help="re-check the output against the expected graph")
-        p.set_defaults(func=cmd_construct)
 
     check = sub.add_parser("check", help="exit 0 iff the word(s) represent the graph")
     check.add_argument("word", help="word file ('-' for stdin)")
     check.add_argument("graph", help="graph file ('-' for stdin)")
     check.add_argument("--explain", action="store_true", help="print the first violating pair")
-    check.set_defaults(func=cmd_check)
 
     repnum = sub.add_parser("repnum", help="search representation number up to a bound")
     repnum.add_argument("graph", help="graph file ('-' for stdin)")
-    repnum.add_argument("--max-k", type=int, required=True)
+    repnum.add_argument("--max-k", type=_int_at_least(1), required=True)
     repnum.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="cap on word positions per query (nodes times k)")
     repnum.add_argument("--timings", action="store_true",
@@ -337,12 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
     repnum.add_argument("--use-reversal", action="store_true",
                         help="accepted for compatibility; no effect, since the witness "
                              "is already the smallest representant, reversals included")
-    repnum.set_defaults(func=cmd_repnum)
 
     selftest = sub.add_parser("selftest", help="replay the randomized property checks")
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--trials", type=int, default=50)
-    selftest.set_defaults(func=cmd_selftest)
+    selftest.add_argument("--trials", type=_int_at_least(0), default=50)
 
     return parser
 
@@ -354,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

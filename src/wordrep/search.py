@@ -11,6 +11,15 @@ pruning off the search enumerates every k-uniform word and tests each
 leaf, which is what the completeness tests compare against.  Every
 witness is re-checked with represents() before being returned, so no
 reduction can produce a false positive.
+
+The state is a few int bitmasks over the node indices, built once per
+query: nbr[x] and non[x] hold x's neighbours and non-neighbours,
+brk[x] the partners whose alternation with x is already broken (kept
+symmetric, and only the newly broken bits are set and undone), and
+since[x] the symbols placed after x's last copy.  since is a new list at
+each depth, so backtracking needs no undo for it.  A further copy of x
+repeats with every symbol outside since[x]: a neighbour there cuts the
+branch, and the non-neighbours there become broken.
 """
 from __future__ import annotations
 
@@ -43,6 +52,11 @@ class SearchOutcome:
     result is "witness" (word holds a verified representant), "exhausted"
     (the full space was searched, no representant exists), or
     "resource-limit" (query refused or aborted on budget).
+
+    explored counts the letters placed: a placement is counted once it
+    passes the edge cut and before the non-edge lookahead, so a placement
+    that the lookahead kills still counts.  With prune=False every
+    placement is counted.
     """
 
     graph: Graph
@@ -106,14 +120,12 @@ def is_k_representable(
     names = sorted(g.nodes)
     n = len(names)
     index = {v: i for i, v in enumerate(names)}
-    nbrs = [sorted(index[u] for u in g.neighbors(v)) for v in names]
-    non_nbrs = [
-        [u for u in range(n) if u != x and u not in set(nbrs[x])] for x in range(n)
-    ]
+    full = (1 << n) - 1
+    nbr = [sum(1 << index[u] for u in g.neighbors(v)) for v in names]
+    non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
 
     counts = [0] * n
-    last_pos = [-1] * n
-    broken = [bytearray(n) for _ in range(n)]
+    brk = [0] * n
     word = [0] * total
     all_ids = list(range(n))
     first_ids = [0] if use_automorphisms else all_ids
@@ -122,7 +134,15 @@ def is_k_representable(
     witness: Word | None = None
     started = time.perf_counter()
 
-    def descend(p: int) -> bool:
+    def flip(x: int, bit: int, pairs: int) -> None:
+        # toggle the pairs {x, u}, u in pairs, in both rows of brk
+        brk[x] ^= pairs
+        while pairs:
+            low = pairs & -pairs
+            brk[low.bit_length() - 1] ^= bit
+            pairs ^= low
+
+    def descend(p: int, since: list[int]) -> bool:
         nonlocal explored, witness
         if p == total:
             cand = Word(names[i] for i in word)
@@ -131,45 +151,36 @@ def is_k_representable(
                 return True
             return False
         for x in first_ids if p == 0 else all_ids:
-            if counts[x] == k:
+            c = counts[x]
+            if c == k:
                 continue
-            lp = last_pos[x]
-            if prune and lp >= 0 and any(last_pos[u] < lp for u in nbrs[x]):
-                continue
-            newly: list[int] = []
-            if prune and lp >= 0:
-                bx = broken[x]
-                for u in range(n):
-                    if u != x and last_pos[u] < lp and not bx[u]:
-                        bx[u] = 1
-                        broken[u][x] = 1
-                        newly.append(u)
-            counts[x] += 1
-            last_pos[x] = p
+            new = 0
+            if prune and c:
+                # a neighbour not placed since the last x would repeat with it
+                if nbr[x] & ~since[x]:
+                    continue
+                new = non[x] & ~(since[x] | brk[x])
+            bit = 1 << x
+            if new:
+                flip(x, bit, new)
+            counts[x] = c + 1
             word[p] = x
             explored += 1
-            viable = True
-            if prune and counts[x] == k:
-                # Alternation keeps two counts within one, so a non-edge u
-                # that still alternates with the complete x has k - 1 or k
-                # copies, and a last u can only follow the last x: the pair
-                # would alternate in every completion.
-                bx = broken[x]
-                for u in non_nbrs[x]:
-                    if not bx[u]:
-                        viable = False
-                        break
-            if viable and descend(p + 1):
-                return True
-            counts[x] -= 1
-            last_pos[x] = lp
-            bx = broken[x]
-            for u in newly:
-                bx[u] = 0
-                broken[u][x] = 0
+            # Alternation keeps two counts within one, so a non-edge u that
+            # still alternates with the complete x has k - 1 or k copies, and
+            # a last u can only follow the last x: the pair would alternate
+            # in every completion.
+            if not (prune and c + 1 == k and non[x] & ~brk[x]):
+                after = [s | bit for s in since]
+                after[x] = 0
+                if descend(p + 1, after):
+                    return True
+            counts[x] = c
+            if new:
+                flip(x, bit, new)
         return False
 
-    found = descend(0)
+    found = descend(0, [0] * n)
     millis = (time.perf_counter() - started) * 1000
     if found:
         return SearchOutcome(g, k, "witness", witness, explored, millis)

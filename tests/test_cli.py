@@ -1,8 +1,10 @@
 import io
 import json
 
+import pytest
+
 from wordrep import Word, cube, graph_from_edges_text, represents
-from wordrep.cli import main
+from wordrep.cli import _build_parser, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -181,6 +183,30 @@ def test_repnum_unknown_above_bound(capsys, tmp_path):
     assert "unknown above k = 1" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "-7"])
+def test_repnum_rejects_bound_below_1(capsys, tmp_path, bound):
+    graph_file = tmp_path / "k2.edges"
+    graph_file.write_text("1 2\n")
+    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", bound])
+    assert code == 2 and out == ""
+    assert "--max-k: must be at least 1" in err
+
+
+def test_selftest_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, ["selftest", "--trials", "-1"])
+    assert code == 2 and out == ""
+    assert "--trials: must be at least 0" in err
+    code, out, _ = run(capsys, ["selftest", "--trials", "0"])
+    assert code == 0 and "ok lemma1-roundtrip (0 trials)" in out
+
+
+def test_non_integer_bound_is_a_usage_error(capsys, tmp_path):
+    graph_file = tmp_path / "k2.edges"
+    graph_file.write_text("1 2\n")
+    code, _, err = run(capsys, ["repnum", str(graph_file), "--max-k", "two"])
+    assert code == 2 and "invalid int value: 'two'" in err
+
+
 def test_repnum_resource_limit(capsys, tmp_path):
     graph_file = tmp_path / "c4.edges"
     graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
@@ -231,3 +257,45 @@ def test_byte_determinism_of_gen_and_construct(capsys):
     first = run(capsys, ["construct", "prism", "-n", "5"])[1]
     second = run(capsys, ["construct", "prism", "-n", "5"])[1]
     assert first == second
+
+
+def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_path):
+    # main() builds its parser once per process; each call in a sequence
+    # must still answer as it does on a freshly built parser
+    graph_file = tmp_path / "c4.edges"
+    graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
+    k4_file = tmp_path / "k4.edges"
+    k4_file.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    word_file = tmp_path / "w.txt"
+    word_file.write_text("3 1 4 2 1 3 2 4\n")
+    g, k4, w = str(graph_file), str(k4_file), str(word_file)
+    sequence = [
+        ["repnum", g, "--max-k", "2", "--use-automorphisms"],
+        ["repnum", g, "--max-k", "2"],
+        ["repnum", g, "--max-k", "0"],
+        ["repnum", g, "--max-k", "1"],
+        ["check", w, k4, "--explain"],
+        ["check", w, k4],
+        ["construct", "cube", "-k", "2", "--verify"],
+        ["construct", "cube", "-k", "2"],
+    ]
+    verified = []
+    monkeypatch.setattr("wordrep.cli.represents",
+                        lambda word, graph: verified.append(word) or represents(word, graph))
+
+    def alone(argv):
+        _build_parser.cache_clear()
+        verified.clear()
+        return run(capsys, argv), len(verified)
+
+    expected = [alone(argv) for argv in sequence]
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    for argv, want in zip(sequence, expected):
+        verified.clear()
+        assert (run(capsys, argv), len(verified)) == want, argv
+    assert _build_parser() is parser
+    # the pairs differ when run alone, so a carried-over flag would show
+    assert expected[0] != expected[1] and expected[4] != expected[5]
+    assert expected[2][0][0] == 2 and expected[3][0][0] == 1
+    assert expected[6][1] == 1 and expected[7][1] == 0

@@ -183,6 +183,29 @@ def test_pinned_k2_exhaustion_counts(make, plain_explored, reduced_explored):
     assert (plain.explored, reduced.explored) == (plain_explored, reduced_explored)
 
 
+def test_pinned_wheel_counts():
+    # W5, hub 6 on the 5-cycle 1..5: the only 6-node graph with no representant
+    rim = [str(i) for i in range(1, 6)]
+    g = Graph([*rim, "6"], [(v, "6") for v in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)])
+    plain = [is_k_representable(g, k) for k in (1, 2, 3)]
+    reduced = [is_k_representable(g, k, use_automorphisms=True) for k in (1, 2, 3)]
+    assert {o.result for o in plain + reduced} == {"exhausted"}
+    assert [o.explored for o in plain] == [11, 4_046, 38_746]
+    assert [o.explored for o in reduced] == [1, 676, 6_682]
+
+
+def test_pinned_small_graph_totals():
+    # explored summed over every labelled graph of at most 5 nodes at
+    # k <= 2 (2,198 queries per mode): a change of where explored is counted
+    # shows here even when every single answer stays the same
+    graphs = [g for size in range(1, 6) for g in all_graphs(size)]
+    plain = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2))
+    reduced = sum(
+        is_k_representable(g, k, use_automorphisms=True).explored for g in graphs for k in (1, 2)
+    )
+    assert (len(graphs), plain, reduced) == (1_099, 28_046, 22_225)
+
+
 def test_witness_extends_to_higher_uniformity():
     # a k-witness implies a (k+1)-witness via occurrence extension
     for g in (cycle(4), cycle(5), complete(3)):
