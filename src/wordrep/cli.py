@@ -34,13 +34,7 @@ from .graphs import (
     represents,
 )
 from .obf import ChainConditionError, lemma1_concat
-from .search import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    SearchOutcome,
-    is_k_representable,
-    outcome_to_json,
-)
+from .search import DEFAULT_BUDGET, is_k_representable, outcome_to_json
 from .words import Word, alternates, parse_words, restrict, uniformity
 
 
@@ -146,24 +140,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_repnum(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.graph)
     for k in range(1, args.max_k + 1):
-        try:
-            outcome = is_k_representable(
-                g,
-                k,
-                budget=args.budget,
-                use_automorphisms=args.use_automorphisms,
-                use_reversal=args.use_reversal,
-            )
-        except BudgetExceededError as exc:
-            refused = SearchOutcome(g, k, "resource-limit", None, 0, 0.0)
-            print(outcome_to_json(refused, timings=args.timings))
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        outcome = is_k_representable(
+            g, k, budget=args.budget, use_automorphisms=args.use_automorphisms
+        )
         print(outcome_to_json(outcome, timings=args.timings))
         if outcome.found:
             print(f"representation number: {k}")
             print(f"witness: {outcome.word}")
             return 0
+        if outcome.result == "resource-limit":
+            print(
+                f"error: query needs {len(g.nodes) * k} word positions, above the budget "
+                f"of {args.budget}; raise the budget explicitly to run it",
+                file=sys.stderr,
+            )
+            return 2
     print(f"representation number: unknown above k = {args.max_k}")
     return 1
 
@@ -263,7 +254,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         k = rng.randint(1, 2)
         pruned = is_k_representable(g, k).found
         plain = is_k_representable(g, k, prune=False).found
-        reduced = is_k_representable(g, k, use_automorphisms=True, use_reversal=True).found
+        reduced = is_k_representable(g, k, use_automorphisms=True).found
         if pruned != plain or pruned != reduced:
             return f"disagreement on {g!r} k={k}: pruned={pruned} plain={plain} reduced={reduced}"
         return None
@@ -368,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

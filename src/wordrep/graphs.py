@@ -277,6 +277,8 @@ def graph_from_json(text: str) -> Graph:
     edges = payload.get("edges", [])
     if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
         raise ValueError("'nodes' must be an array of strings")
+    if not isinstance(edges, list):
+        raise ValueError("'edges' must be an array of 2-arrays of strings")
     node_set = set(nodes)
     pairs: list[tuple[str, str]] = []
     for e in edges:

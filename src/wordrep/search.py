@@ -1,11 +1,12 @@
 """Exhaustive backtracking search for k-uniform representants.
 
 The trusted-because-simple oracle: depth-first over word positions,
-branching over symbols in lexicographic order.  With pruning on, an edge
-pair that stops alternating kills the branch immediately, and a non-edge
-pair that still alternates kills it as soon as one of its symbols is
-complete, since the other's last copy, if any, can only extend the
-alternation.  Every leaf reached then represents the graph,
+branching over symbols in lexicographic order, on an explicit stack so
+that the depth is not bounded by Python's recursion limit.  With pruning
+on, an edge pair that stops alternating kills the branch immediately, and
+a non-edge pair that still alternates kills it as soon as one of its
+symbols is complete, since the other's last copy, if any, can only extend
+the alternation.  Every leaf reached then represents the graph,
 so the first one is the lexicographically smallest representant.  With
 pruning off the search enumerates every k-uniform word and tests each
 leaf, which is what the completeness tests compare against.  Every
@@ -17,14 +18,18 @@ query: nbr[x] and non[x] hold x's neighbours and non-neighbours,
 brk[x] the partners whose alternation with x is already broken (kept
 symmetric, and only the newly broken bits are set and undone), and
 since[x] the symbols placed after x's last copy.  since is a new list at
-each depth, so backtracking needs no undo for it.  A further copy of x
-repeats with every symbol outside since[x]: a neighbour there cuts the
-branch, and the non-neighbours there become broken.
+each depth.  A further copy of x repeats with every symbol outside
+since[x]: a neighbour there cuts the branch, and the non-neighbours there
+become broken.  Each stack frame holds a placed letter x, the pairs it
+newly broke, the since list from before it and the iterator over the
+candidates at its position; popping a frame undoes the letter, and the
+search resumes with the candidate after x.
 """
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graphs import Graph, represents
@@ -33,25 +38,14 @@ from .words import Word
 DEFAULT_BUDGET = 24
 
 
-class BudgetExceededError(RuntimeError):
-    """The query needs more word positions than the configured budget."""
-
-    def __init__(self, positions: int, budget: int):
-        self.positions = positions
-        self.budget = budget
-        super().__init__(
-            f"query needs {positions} word positions, above the budget of {budget}; "
-            "raise the budget explicitly to run it"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Result of one k-representability query.
 
     result is "witness" (word holds a verified representant), "exhausted"
     (the full space was searched, no representant exists), or
-    "resource-limit" (query refused or aborted on budget).
+    "resource-limit" (the query needs more word positions than its budget
+    and was refused without searching, so explored is 0).
 
     explored counts the letters placed: a placement is counted once it
     passes the edge cut and before the non-edge lookahead, so a placement
@@ -95,7 +89,6 @@ def is_k_representable(
     budget: int = DEFAULT_BUDGET,
     prune: bool = True,
     use_automorphisms: bool = False,
-    use_reversal: bool = False,
 ) -> SearchOutcome:
     """Search the k-uniform words over the nodes of g for a representant.
 
@@ -104,10 +97,9 @@ def is_k_representable(
     fixes the first letter to the smallest node: any cyclic shift of a
     uniform representant is again one (Kitaev & Pyatkin 2008), so some
     representant starts with that node, and the smallest one does.  This
-    shrinks exhausted searches and changes no answer or witness.
-    use_reversal is accepted for compatibility and has no effect: a
-    representant's reversal is one too, and the smaller of the two is
-    always reached first.
+    shrinks exhausted searches and changes no answer or witness.  A query
+    that needs more than budget word positions is refused: its outcome is
+    "resource-limit" with nothing explored.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -115,7 +107,7 @@ def is_k_representable(
         raise ValueError("search needs a graph with at least one node")
     total = len(g.nodes) * k
     if total > budget:
-        raise BudgetExceededError(total, budget)
+        return SearchOutcome(g, k, "resource-limit", None, 0, 0.0)
 
     names = sorted(g.nodes)
     n = len(names)
@@ -126,13 +118,11 @@ def is_k_representable(
 
     counts = [0] * n
     brk = [0] * n
-    word = [0] * total
-    all_ids = list(range(n))
-    first_ids = [0] if use_automorphisms else all_ids
-
-    explored = 0
-    witness: Word | None = None
-    started = time.perf_counter()
+    since = [0] * n
+    ids = range(n)
+    # one frame per placed letter x: (x, the pairs x newly broke, since
+    # from before x, the candidates not yet tried at x's position)
+    stack: list[tuple[int, int, list[int], Iterator[int]]] = []
 
     def flip(x: int, bit: int, pairs: int) -> None:
         # toggle the pairs {x, u}, u in pairs, in both rows of brk
@@ -142,15 +132,12 @@ def is_k_representable(
             brk[low.bit_length() - 1] ^= bit
             pairs ^= low
 
-    def descend(p: int, since: list[int]) -> bool:
-        nonlocal explored, witness
-        if p == total:
-            cand = Word(names[i] for i in word)
-            if represents(cand, g):
-                witness = cand
-                return True
-            return False
-        for x in first_ids if p == 0 else all_ids:
+    explored = 0
+    witness: Word | None = None
+    started = time.perf_counter()
+    candidates = iter(range(1) if use_automorphisms else ids)
+    while True:
+        for x in candidates:
             c = counts[x]
             if c == k:
                 continue
@@ -164,25 +151,41 @@ def is_k_representable(
             if new:
                 flip(x, bit, new)
             counts[x] = c + 1
-            word[p] = x
             explored += 1
             # Alternation keeps two counts within one, so a non-edge u that
             # still alternates with the complete x has k - 1 or k copies, and
             # a last u can only follow the last x: the pair would alternate
             # in every completion.
-            if not (prune and c + 1 == k and non[x] & ~brk[x]):
-                after = [s | bit for s in since]
-                after[x] = 0
-                if descend(p + 1, after):
-                    return True
-            counts[x] = c
+            if prune and c + 1 == k and non[x] & ~brk[x]:
+                counts[x] = c
+                if new:
+                    flip(x, bit, new)
+                continue
+            stack.append((x, new, since, candidates))
+            since = [s | bit for s in since]
+            since[x] = 0
+            break
+        else:
+            # no candidate left at this position: undo the last letter and
+            # go on with the candidates after it
+            if not stack:
+                break
+            x, new, since, candidates = stack.pop()
+            counts[x] -= 1
             if new:
-                flip(x, bit, new)
-        return False
+                flip(x, 1 << x, new)
+            continue
+        if len(stack) < total:
+            candidates = iter(ids)
+            continue
+        cand = Word(names[f[0]] for f in stack)
+        if represents(cand, g):
+            witness = cand
+            break
+        candidates = iter(())  # a leaf has no children: backtrack
 
-    found = descend(0, [0] * n)
     millis = (time.perf_counter() - started) * 1000
-    if found:
+    if witness is not None:
         return SearchOutcome(g, k, "witness", witness, explored, millis)
     return SearchOutcome(g, k, "exhausted", None, explored, millis)
 
@@ -194,20 +197,16 @@ def representation_number(
     budget: int = DEFAULT_BUDGET,
     prune: bool = True,
     use_automorphisms: bool = False,
-    use_reversal: bool = False,
-) -> int | None:
-    """Smallest k <= k_max admitting a k-uniform representant, else None."""
+) -> SearchOutcome:
+    """Scan k = 1..k_max and return the outcome that settles the scan: the
+    witness at the smallest k, the resource-limit outcome that stopped it,
+    or the exhaustion at k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     for k in range(1, k_max + 1):
         outcome = is_k_representable(
-            g,
-            k,
-            budget=budget,
-            prune=prune,
-            use_automorphisms=use_automorphisms,
-            use_reversal=use_reversal,
+            g, k, budget=budget, prune=prune, use_automorphisms=use_automorphisms
         )
-        if outcome.found:
-            return k
-    return None
+        if outcome.result != "exhausted":
+            break
+    return outcome

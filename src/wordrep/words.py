@@ -17,8 +17,6 @@ from collections.abc import Iterable, Iterator, Set
 # "x@2", so it may appear in a token only between atomic parts.
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+(?:@[A-Za-z0-9_]+)*\Z")
 
-LabelledWord = tuple  # sequence of (symbol, occurrence-index) pairs
-
 
 def check_symbol(token: str) -> str:
     """Return ``token`` if it is a valid symbol name, else raise ValueError."""
@@ -124,7 +122,7 @@ def uniformity(w: Word) -> int | None:
     return None
 
 
-def label(w: Word) -> LabelledWord:
+def label(w: Word) -> tuple[tuple[str, int], ...]:
     """Attach 1-based occurrence indices: the i-th x becomes (x, i)."""
     seen: Counter[str] = Counter()
     out = []

@@ -160,6 +160,15 @@ def test_check_reads_json_graphs(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("edges", ["5", "null"])
+def test_non_array_json_edges_exit_2(capsys, tmp_path, edges):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text('{"nodes": ["1"], "edges": %s}\n' % edges)
+    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "1"])
+    assert code == 2 and out == ""
+    assert "'edges' must be an array" in err
+
+
 def test_repnum_finds_three_prism_number(capsys, tmp_path):
     code, out, _ = run(capsys, ["gen", "prism", "-n", "3"])
     graph_file = tmp_path / "prism.edges"
@@ -215,6 +224,17 @@ def test_repnum_resource_limit(capsys, tmp_path):
     outcomes = [json.loads(ln) for ln in out.strip().splitlines()]
     assert outcomes[-1]["result"] == "resource-limit"
     assert "budget" in err
+
+
+def test_repnum_deep_query_answers(capsys, tmp_path):
+    # K700 plus an isolated node: k = 1 is exhausted and k = 2 needs 1,402
+    # word positions, deeper than Python's default recursion limit
+    code, out, _ = run(capsys, ["gen", "complete", "-n", "700"])
+    graph_file = tmp_path / "k700.edges"
+    graph_file.write_text("0\n" + out)
+    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "2", "--budget", "2000"])
+    assert (code, err) == (0, "")
+    assert "representation number: 2" in out.splitlines()
 
 
 def test_repnum_symmetry_flags(capsys, tmp_path):

@@ -240,6 +240,9 @@ def test_json_parsing_errors():
         graph_from_json("[1, 2]")
     with pytest.raises(ValueError, match="2-array"):
         graph_from_json('{"nodes": ["a"], "edges": [["a"]]}')
+    for edges in ("5", "null"):
+        with pytest.raises(ValueError, match="'edges' must be an array"):
+            graph_from_json('{"nodes": ["1"], "edges": %s}' % edges)
 
 
 def test_parse_graph_autodetects_format():

@@ -6,7 +6,6 @@ from itertools import combinations, permutations
 import pytest
 
 from wordrep import (
-    BudgetExceededError,
     Graph,
     Word,
     cartesian_product,
@@ -67,25 +66,38 @@ def test_three_prism_not_2_representable():
 def test_representation_number_of_complete_products():
     for n, expected in ((1, 1), (2, 2), (3, 3)):
         g = cartesian_product(complete(n), complete(2))
-        assert representation_number(g, 3) == expected
-    assert representation_number(complete(5), 2) == 1
-    assert representation_number(cube(2), 3) == 2
+        o = representation_number(g, 3)
+        assert o.found and o.k == expected
+    o = representation_number(complete(5), 2)
+    assert o.found and o.k == 1
+    o = representation_number(cube(2), 3)
+    assert o.found and o.k == 2 and represents(o.word, cube(2))
 
 
 def test_representation_number_unknown_within_bound():
-    assert representation_number(cartesian_product(complete(3), complete(2)), 2) is None
+    o = representation_number(cartesian_product(complete(3), complete(2)), 2)
+    assert (o.result, o.k, o.word) == ("exhausted", 2, None)
 
 
 def test_budget_signal():
-    with pytest.raises(BudgetExceededError) as exc:
-        is_k_representable(cube(3), 4)
-    assert exc.value.positions == 32 and exc.value.budget == 24
+    # 8 nodes x 4 copies is 32 positions, above the default 24: refused
+    # without searching
+    o = is_k_representable(cube(3), 4)
+    assert (o.result, o.word, o.explored) == ("resource-limit", None, 0)
     # explicit budget unlocks the same query shape
     assert is_k_representable(cycle(4), 2, budget=8).found
     # k = 1 fits an 8-position budget, k = 2 does not, and no 1-uniform
     # witness exists, so the bound is hit mid-scan
-    with pytest.raises(BudgetExceededError):
-        representation_number(cube(3), 2, budget=8)
+    o = representation_number(cube(3), 2, budget=8)
+    assert o.result == "resource-limit" and o.k == 2
+
+
+def test_deep_query_runs_past_the_recursion_limit():
+    # 1,400 word positions, deeper than Python's default recursion limit
+    # of 1,000 frames
+    g = complete(700)
+    o = is_k_representable(g, 2, budget=2000)
+    assert o.found and uniformity(o.word) == 2 and represents(o.word, g)
 
 
 def test_input_validation():
@@ -153,7 +165,7 @@ def test_symmetry_reductions_change_nothing():
         g = Graph(names, [e for e in combinations(names, 2) if rng.random() < 0.5])
         k = rng.randint(1, 2)
         plain = is_k_representable(g, k)
-        reduced = is_k_representable(g, k, use_automorphisms=True, use_reversal=True)
+        reduced = is_k_representable(g, k, use_automorphisms=True)
         assert plain.found == reduced.found
         for o in (plain, reduced):
             if o.found:
