@@ -13,7 +13,7 @@ from functools import cache
 
 from .graphs import cycle, represents
 from .obf import OccurrenceBasedFunction, apply
-from .words import Word, uniformity
+from .words import Word, _concat, uniformity
 
 
 class ConstructionError(RuntimeError):
@@ -109,10 +109,7 @@ def product_kn_word(w: Word, n: int) -> Word:
         raise ValueError(f"product needs n >= 2 copies, got {n}")
     k = _require_uniform_above_1(w)
     fs = product_kn_functions(w.alphabet, k, n)
-    result = Word()
-    for f in reversed(fs):
-        result = result + apply(f, w)
-    return result
+    return _concat([apply(f, w) for f in reversed(fs)])
 
 
 # 2-uniform seed for the 2-cube: the 4-cycle word 31421324 under the frozen
@@ -139,7 +136,11 @@ def cube_word(k: int) -> Word:
     for b in prev.alphabet:
         rename[f"{b}@1"] = b + "0"
         rename[f"{b}@2"] = b + "1"
-    return Word(rename[x] for x in produced)
+    # bitstrings extended by one bit are valid names, so nothing is re-checked
+    return Word._trusted(
+        tuple(map(rename.__getitem__, produced.letters)),
+        {rename[x]: n for x, n in produced.counts.items()},
+    )
 
 
 def complete_word(n: int, k: int) -> Word:

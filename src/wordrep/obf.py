@@ -6,12 +6,20 @@ to which occurrence it is, in position order.  Projections keep selected
 occurrences; concatenating projections whose index sets chain together
 preserves the represented graph, which is the engine behind the product
 constructions.
+
+Functions given by an explicit table (the constructor, :func:`obf_from_text`)
+keep that table and validate it when built.  Functions given by a rule
+(:meth:`OccurrenceBasedFunction.from_rule`, used by projections and the
+products) are lazy: :func:`apply` calls the rule per letter, and the table
+is only built when something reads it.  Either way the word that
+:func:`apply` returns validates each distinct token once, and the words
+that the constructions concatenate are not validated again.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .words import Word, check_symbol, label, uniformity
+from .words import Word, _concat, check_symbol, uniformity
 
 
 class ChainConditionError(ValueError):
@@ -35,9 +43,18 @@ class OccurrenceBasedFunction:
     The bound is stored explicitly so that applying the function to a word
     with too many occurrences of a symbol is an error rather than a silent
     truncation.
+
+    A function given by an explicit table is checked when it is built: the
+    table must cover exactly domain x 1..bound, and its image tokens are
+    validated.  A function built by :meth:`from_rule` keeps the rule and
+    calls it per (symbol, index) inside :func:`apply`, whose result word
+    validates each distinct token once; so a bad image token raises when
+    a word reaches its (symbol, index), or when the table is read
+    (``table``, ``image``, ``==``, ``hash``, :func:`obf_to_text`), which
+    builds and validates the whole table once.
     """
 
-    __slots__ = ("domain", "bound", "table")
+    __slots__ = ("domain", "bound", "_rule", "_table")
 
     def __init__(
         self,
@@ -45,27 +62,30 @@ class OccurrenceBasedFunction:
         bound: int,
         table: Mapping[tuple[str, int], Sequence[str] | Word],
     ):
-        dom = frozenset(check_symbol(s) for s in domain)
-        if bound < 1:
-            raise ValueError(f"occurrence bound must be positive, got {bound}")
-        tab: dict[tuple[str, int], tuple[str, ...]] = {}
-        for x in dom:
-            for i in range(1, bound + 1):
-                if (x, i) not in table:
-                    raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
-                image = table[(x, i)]
-                tab[(x, i)] = image.letters if isinstance(image, Word) else tuple(image)
-        Word(tok for toks in tab.values() for tok in toks)  # validates each distinct token once
-        self.domain = dom
+        self.domain = _check_domain(domain, bound)
         self.bound = bound
-        self.table = tab
+        self._rule = None
+        self._table = _tabulate(self.domain, bound, table)
 
     @classmethod
     def from_rule(cls, domain: Iterable[str], bound: int, rule) -> "OccurrenceBasedFunction":
-        """Build the table by calling ``rule(symbol, index)`` for every pair."""
-        dom = frozenset(domain)
-        table = {(x, i): tuple(rule(x, i)) for x in dom for i in range(1, bound + 1)}
-        return cls(dom, bound, table)
+        """The function (x, i) -> ``rule(x, i)``; the rule is called when the
+        function is applied, and for every pair only if the table is read."""
+        h = cls.__new__(cls)
+        h.domain = _check_domain(domain, bound)
+        h.bound = bound
+        h._rule = rule
+        h._table = None
+        return h
+
+    @property
+    def table(self) -> dict[tuple[str, int], tuple[str, ...]]:
+        if self._table is None:
+            rule, bound = self._rule, self.bound
+            self._table = _tabulate(
+                self.domain, bound, {(x, i): rule(x, i) for x in self.domain for i in range(1, bound + 1)}
+            )
+        return self._table
 
     def image(self, symbol: str, index: int) -> tuple[str, ...]:
         return self.table[(symbol, index)]
@@ -87,17 +107,51 @@ class OccurrenceBasedFunction:
         return f"OccurrenceBasedFunction(domain={sorted(self.domain)}, bound={self.bound})"
 
 
+def _check_domain(domain: Iterable[str], bound: int) -> frozenset[str]:
+    dom = frozenset(check_symbol(s) for s in domain)
+    if bound < 1:
+        raise ValueError(f"occurrence bound must be positive, got {bound}")
+    return dom
+
+
+def _tabulate(
+    dom: frozenset[str], bound: int, table: Mapping[tuple[str, int], Sequence[str] | Word]
+) -> dict[tuple[str, int], tuple[str, ...]]:
+    """The table as tuples, checked to cover exactly dom x 1..bound and to
+    hold valid image tokens."""
+    tab: dict[tuple[str, int], tuple[str, ...]] = {}
+    for x in dom:
+        for i in range(1, bound + 1):
+            if (x, i) not in table:
+                raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
+            image = table[(x, i)]
+            tab[(x, i)] = image.letters if isinstance(image, Word) else tuple(image)
+    if len(table) > len(tab):
+        extra = next(key for key in table if key not in tab)
+        raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
+    Word(tok for toks in tab.values() for tok in toks)  # validates each distinct token once
+    return tab
+
+
 def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
-    """Rewrite ``w`` occurrence-wise: concatenate h(x, i) over the labelled word."""
-    out: list[str] = []
-    for x, i in label(w):
+    """Rewrite ``w`` occurrence-wise: concatenate h(x, i) over the labelled word.
+
+    Domain and bound are checked once per distinct symbol of ``w``, in
+    first-occurrence order; the result validates each distinct token once.
+    """
+    for x, n in w.counts.items():
         if x not in h.domain:
             raise ValueError(f"symbol {x!r} is outside the function's domain")
-        if i > h.bound:
-            raise ValueError(
-                f"symbol {x!r} occurs {w.counts[x]} times, above the occurrence bound {h.bound}"
-            )
-        out.extend(h.table[(x, i)])
+        if n > h.bound:
+            raise ValueError(f"symbol {x!r} occurs {n} times, above the occurrence bound {h.bound}")
+    image = h._rule
+    if image is None:
+        image = lambda x, i, table=h._table: table[(x, i)]
+    seen = dict.fromkeys(w.counts, 0)
+    out: list[str] = []
+    for x in w.letters:
+        i = seen[x] = seen[x] + 1
+        out.extend(image(x, i))
     return Word(out)
 
 
@@ -140,10 +194,7 @@ def lemma1_concat(w: Word, index_sets: Sequence[Iterable[int]]) -> Word:
     for j in range(1, k):
         if not any(j in a and j + 1 in a for a in sets):
             raise ChainConditionError(j)
-    result = Word()
-    for a in sets:
-        result = result + apply(projection(a, w.alphabet, k), w)
-    return result
+    return _concat([apply(projection(a, w.alphabet, k), w) for a in sets])
 
 
 def extend_uniform(w: Word, index: int) -> Word:

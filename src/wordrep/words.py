@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Set
+from collections.abc import Iterable, Iterator, Sequence, Set
+from itertools import chain
 
 # Atomic symbol names use word characters only.  '@' is reserved as the
 # separator that product constructions use to build copy names such as
@@ -33,6 +34,8 @@ class Word:
     ``Word(["3", "1", "4", "2"])``.  Multi-character symbols are therefore
     unambiguous.  The empty word is allowed.  Each distinct token is
     validated once.  ``counts`` lists the symbols in first-occurrence order.
+    Words assembled from valid words (``+``, the constructions'
+    concatenations and renamings) are not validated again.
     """
 
     __slots__ = ("letters", "counts", "_hash")
@@ -53,6 +56,16 @@ class Word:
         self.counts: dict[str, int] = dict(counts)
         self._hash = hash(seq)
 
+    @classmethod
+    def _trusted(cls, letters: tuple[str, ...], counts: dict[str, int]) -> "Word":
+        """A word whose tokens are known to be valid, with ``counts`` given
+        in first-occurrence order; nothing is checked."""
+        w = cls.__new__(cls)
+        w.letters = letters
+        w.counts = counts
+        w._hash = hash(letters)
+        return w
+
     @property
     def alphabet(self) -> frozenset[str]:
         """The set of distinct symbols occurring in the word."""
@@ -70,7 +83,7 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return _concat((self, other))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
@@ -83,6 +96,15 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
+
+
+def _concat(words: Sequence[Word]) -> Word:
+    """The concatenation of ``words``, built once and not validated again."""
+    counts: dict[str, int] = {}
+    for w in words:
+        for x, n in w.counts.items():
+            counts[x] = counts.get(x, 0) + n
+    return Word._trusted(tuple(chain.from_iterable(w.letters for w in words)), counts)
 
 
 def restrict(w: Word, symbols: Set[str] | Iterable[str]) -> Word:

@@ -1,8 +1,11 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from wordrep import graphs, obf, words
 from wordrep import (
     Word,
     alternates,
@@ -177,3 +180,70 @@ def test_prism_word():
         assert represents(w, cartesian_product(cycle(n), complete(2)))
     # the 4-prism is the 3-cube in disguise
     assert isomorphic(graph_of_word(prism_word(4)), cube(3)) is not None
+
+
+def sha256(w):
+    return hashlib.sha256(str(w).encode()).hexdigest()
+
+
+def assert_counts_match_letters(w):
+    assert list(w.counts.items()) == list(Counter(w.letters).items())
+
+
+# sha256 of str(cube_word(k)), pinned so that faster constructions must
+# reproduce the same words byte for byte
+CUBE_WORD_SHA256 = {
+    3: "5b772cfc16cdb624a30c40911fbc504218e44bacb864ce917445b0129b05d71a",
+    4: "10c9856a1762a9c498f8c164f426a89da04d1c40ddb6460650698007eb8626e6",
+    5: "2f3ba57edba7b55247178225bece302a15945e90f96e8cc3968b25a5059ce482",
+    6: "06cf2fc8736b20cb28d5f40b2dce29aa33271b57d9ac7f3cf50ea328e0303097",
+    7: "6e7dc7c98b3746e384ad9b091e2cfee4484e08aa929d07253e3c95c0bcfadcbc",
+    8: "cec8ee3f6fa1585da5d68dd7d5096f302aa882121d6bec5a0657ad2fdb5c0c53",
+    9: "cc1aac4347098fb361cefeed126473c55b63f5c992a07554fe1943ccba4a88d3",
+    10: "0d787453665c8dcb4f036a4e21713b1596d9f58cb85f776e3396340c2a87fe28",
+    11: "e4daaa48b694c17874e662dd462a83d6bd4a9dbb8ede74bd39168da3874ca4c6",
+    12: "58f4265c04274469c1115ec383a4b168dd152d88b0f7f50eaf53b7e70a00b3da",
+}
+
+
+def test_cube_words_are_pinned():
+    cube_word.cache_clear()
+    for k, digest in CUBE_WORD_SHA256.items():
+        w = cube_word(k)
+        assert sha256(w) == digest, k
+        assert_counts_match_letters(w)
+
+
+def test_prism_and_product_kn_words_are_pinned():
+    w = prism_word(7)
+    assert sha256(w) == "441a6276baef4c64454ddd8c3fb7bfa232f5c3fc52e8af3013ba5fdb4f2ada25"
+    assert_counts_match_letters(w)
+    letters = [str(i) for i in range(1, 7)] * 3
+    random.Random(2026).shuffle(letters)
+    base = Word(letters)
+    assert base == Word("6 3 1 2 2 5 6 2 5 1 3 1 4 4 3 6 5 4")
+    w = product_kn_word(base, 4)
+    assert sha256(w) == "a78ca2f603c5ce76ac810358423658cf89b76b17141477e308fe925890cb8a78"
+    assert_counts_match_letters(w)
+    assert_counts_match_letters(product_k2_word(base))
+
+
+def test_cube_word_validates_each_new_token_about_once(monkeypatch):
+    # step k checks its 2^(k-1) input names as the domain of both functions
+    # and its 2^k new names as the images of both: 3 * (2^13 - 8) + 4 seed
+    # names = 24,556 calls for k = 12
+    calls = [0]
+    original = words.check_symbol
+
+    def counted(token):
+        calls[0] += 1
+        return original(token)
+
+    for module in (words, obf, graphs):
+        monkeypatch.setattr(module, "check_symbol", counted)
+    cube_word.cache_clear()
+    try:
+        cube_word(12)
+    finally:
+        cube_word.cache_clear()
+    assert calls[0] <= 25_000

@@ -32,12 +32,39 @@ def test_table_must_be_total():
 
 
 def test_image_tokens_are_validated():
+    # a rule-built function's images are checked when a word reaches their
+    # (x, i) and when the table is read; an explicit table is checked at once
+    h = OccurrenceBasedFunction.from_rule({"a", "b"}, 3, lambda x, i: (x, "not ok") if i == 3 else (x,))
+    assert apply(h, Word("a b b a")) == Word("a b b a")
     with pytest.raises(ValueError, match="not ok"):
-        OccurrenceBasedFunction.from_rule({"a", "b"}, 3, lambda x, i: (x, "not ok") if i == 3 else (x,))
+        apply(h, Word("a b a a"))
+    with pytest.raises(ValueError, match="not ok"):
+        obf_to_text(h)
+    h = OccurrenceBasedFunction.from_rule({"a"}, 2, lambda x, i: (x, ["list"]))
     with pytest.raises(ValueError):
-        OccurrenceBasedFunction.from_rule({"a"}, 2, lambda x, i: (x, ["list"]))
+        apply(h, Word("a"))
+    with pytest.raises(ValueError):
+        obf_to_text(h)
     with pytest.raises(ValueError):
         OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a@",)})
+
+
+def test_table_entries_outside_the_domain_are_rejected():
+    with pytest.raises(ValueError, match=r"\('z', 1\)"):
+        OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a",), ("z", 1): ("q",)})
+
+
+def test_from_rule_equals_its_explicit_table():
+    def rule(x, i):
+        return (f"{x}@{i}",) * (i % 3)
+
+    domain, k = {"a", "b", "c"}, 4
+    table = {(x, i): rule(x, i) for x in domain for i in range(1, k + 1)}
+    lazy, eager = OccurrenceBasedFunction.from_rule(domain, k, rule), OccurrenceBasedFunction(domain, k, table)
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert lazy.table == eager.table and obf_to_text(lazy) == obf_to_text(eager)
+    w = Word("a b c c a b b a c a b c")
+    assert apply(lazy, w) == apply(eager, w)
 
 
 def test_bound_must_be_positive():
@@ -199,6 +226,10 @@ def test_obf_text_parsing_errors():
         obf_from_text("k=1\na 1 -> a\na 1 -> b\n")
     with pytest.raises(ValueError, match="not total"):
         obf_from_text("k=2\na 1 -> a\n")
+    with pytest.raises(ValueError, match=r"\('a', 2\)"):
+        obf_from_text("k=1\na 1 -> a\na 2 -> b b\na 0 -> c")
+    with pytest.raises(ValueError, match=r"\('a', 0\)"):
+        obf_from_text("k=1\na 1 -> a\na 0 -> c")
 
 
 def test_obf_text_allows_empty_right_hand_side():
