@@ -140,9 +140,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_repnum(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.graph)
     for k in range(1, args.max_k + 1):
-        outcome = is_k_representable(
-            g, k, budget=args.budget, use_automorphisms=args.use_automorphisms
-        )
+        outcome = is_k_representable(g, k, budget=args.budget)
         print(outcome_to_json(outcome, timings=args.timings))
         if outcome.found:
             print(f"representation number: {k}")
@@ -253,10 +251,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         g = _random_graph(rng, rng.randint(2, 4))
         k = rng.randint(1, 2)
         pruned = is_k_representable(g, k).found
-        plain = is_k_representable(g, k, prune=False).found
-        reduced = is_k_representable(g, k, use_automorphisms=True).found
-        if pruned != plain or pruned != reduced:
-            return f"disagreement on {g!r} k={k}: pruned={pruned} plain={plain} reduced={reduced}"
+        unpruned = is_k_representable(g, k, prune=False).found
+        if pruned != unpruned:
+            return f"disagreement on {g!r} k={k}: pruned={pruned} unpruned={unpruned}"
         return None
 
     passed = (
@@ -333,16 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     repnum = sub.add_parser("repnum", help="search representation number up to a bound")
     repnum.add_argument("graph", help="graph file ('-' for stdin)")
     repnum.add_argument("--max-k", type=_int_at_least(1), required=True)
-    repnum.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    repnum.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
                         help="cap on word positions per query (nodes times k)")
     repnum.add_argument("--timings", action="store_true",
                         help="include measured millis in the JSON output")
-    repnum.add_argument("--use-automorphisms", action="store_true",
-                        help="fix the first letter to the smallest node (a rotation of "
-                             "a representant is one too); answers and witnesses are unchanged")
-    repnum.add_argument("--use-reversal", action="store_true",
-                        help="accepted for compatibility; no effect, since the witness "
-                             "is already the smallest representant, reversals included")
+    repnum.add_argument("--use-automorphisms", "--use-reversal", action="store_true",
+                        help="accepted for compatibility; no effect")
 
     selftest = sub.add_parser("selftest", help="replay the randomized property checks")
     selftest.add_argument("--seed", type=int, default=0)

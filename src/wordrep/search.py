@@ -6,12 +6,14 @@ that the depth is not bounded by Python's recursion limit.  With pruning
 on, an edge pair that stops alternating kills the branch immediately, and
 a non-edge pair that still alternates kills it as soon as one of its
 symbols is complete, since the other's last copy, if any, can only extend
-the alternation.  Every leaf reached then represents the graph,
-so the first one is the lexicographically smallest representant.  With
-pruning off the search enumerates every k-uniform word and tests each
-leaf, which is what the completeness tests compare against.  Every
-witness is re-checked with represents() before being returned, so no
-reduction can produce a false positive.
+the alternation.  Pruning also fixes the first letter to the smallest
+node, since a cyclic shift of a uniform representant is again one.
+Every leaf reached then represents the graph, so the first one is the
+lexicographically smallest representant.  With pruning off the search
+enumerates every k-uniform word and tests each leaf, which is what the
+completeness tests compare against.  Every witness is re-checked with
+represents() before being returned, so no reduction can produce a false
+positive.
 
 The state is a few int bitmasks over the node indices, built once per
 query: nbr[x] and non[x] hold x's neighbours and non-neighbours,
@@ -49,8 +51,9 @@ class SearchOutcome:
 
     explored counts the letters placed: a placement is counted once it
     passes the edge cut and before the non-edge lookahead, so a placement
-    that the lookahead kills still counts.  With prune=False every
-    placement is counted.
+    that the lookahead kills still counts, and only the smallest node is
+    tried as the first letter.  With prune=False every placement is
+    counted.
     """
 
     graph: Graph
@@ -88,18 +91,19 @@ def is_k_representable(
     *,
     budget: int = DEFAULT_BUDGET,
     prune: bool = True,
-    use_automorphisms: bool = False,
 ) -> SearchOutcome:
     """Search the k-uniform words over the nodes of g for a representant.
 
     The witness, when there is one, is the lexicographically smallest
-    k-uniform representant over the sorted node names.  use_automorphisms
-    fixes the first letter to the smallest node: any cyclic shift of a
-    uniform representant is again one (Kitaev & Pyatkin 2008), so some
-    representant starts with that node, and the smallest one does.  This
-    shrinks exhausted searches and changes no answer or witness.  A query
-    that needs more than budget word positions is refused: its outcome is
-    "resource-limit" with nothing explored.
+    k-uniform representant over the sorted node names.  Pruning cuts
+    branches that cannot alternate correctly, and it fixes the first
+    letter to the smallest node: any cyclic shift of a uniform
+    representant is again one (Kitaev & Pyatkin 2008), so some
+    representant starts with that node, and the smallest one does.
+    Neither cut changes an answer or a witness.  prune=False enumerates
+    every k-uniform word.  A query that needs more than budget word
+    positions is refused: its outcome is "resource-limit" with nothing
+    explored.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -135,7 +139,7 @@ def is_k_representable(
     explored = 0
     witness: Word | None = None
     started = time.perf_counter()
-    candidates = iter(range(1) if use_automorphisms else ids)
+    candidates = iter(range(1) if prune else ids)
     while True:
         for x in candidates:
             c = counts[x]
@@ -196,7 +200,6 @@ def representation_number(
     *,
     budget: int = DEFAULT_BUDGET,
     prune: bool = True,
-    use_automorphisms: bool = False,
 ) -> SearchOutcome:
     """Scan k = 1..k_max and return the outcome that settles the scan: the
     witness at the smallest k, the resource-limit outcome that stopped it,
@@ -204,9 +207,7 @@ def representation_number(
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     for k in range(1, k_max + 1):
-        outcome = is_k_representable(
-            g, k, budget=budget, prune=prune, use_automorphisms=use_automorphisms
-        )
+        outcome = is_k_representable(g, k, budget=budget, prune=prune)
         if outcome.result != "exhausted":
             break
     return outcome

@@ -238,14 +238,29 @@ def test_repnum_deep_query_answers(capsys, tmp_path):
 
 
 def test_repnum_symmetry_flags(capsys, tmp_path):
-    graph_file = tmp_path / "c4.edges"
-    graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
-    base = run(capsys, ["repnum", str(graph_file), "--max-k", "2"])
-    reduced = run(capsys, ["repnum", str(graph_file), "--max-k", "2",
-                           "--use-automorphisms", "--use-reversal"])
-    assert base[0] == 0 and reduced[0] == 0
-    assert "representation number: 2" in base[1]
-    assert "representation number: 2" in reduced[1]
+    # both flags are accepted no-ops: alone or together they change no byte
+    # of the output, the explored counts of exhausted k included (C4 and
+    # K3xK2 exhaust k = 1, and K3xK2 k = 2 too)
+    graphs = {"c4": "1 2\n2 3\n3 4\n1 4\n",
+              "k3k2": "a b\nb c\na c\nA B\nB C\nA C\na A\nb B\nc C\n"}
+    for name, edges in graphs.items():
+        graph_file = tmp_path / f"{name}.edges"
+        graph_file.write_text(edges)
+        argv = ["repnum", str(graph_file), "--max-k", "3"]
+        base = run(capsys, argv)
+        assert base[0] == 0 and base[2] == "", name
+        for flags in (["--use-automorphisms"], ["--use-reversal"],
+                      ["--use-automorphisms", "--use-reversal"]):
+            assert run(capsys, argv + flags) == base, (name, flags)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_repnum_rejects_budget_below_1(capsys, tmp_path, budget):
+    graph_file = tmp_path / "k2.edges"
+    graph_file.write_text("1 2\n")
+    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "1", "--budget", budget])
+    assert code == 2 and out == ""
+    assert "--budget: must be at least 1" in err
 
 
 def test_repnum_timings_flag(capsys, tmp_path):
@@ -290,7 +305,7 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     word_file.write_text("3 1 4 2 1 3 2 4\n")
     g, k4, w = str(graph_file), str(k4_file), str(word_file)
     sequence = [
-        ["repnum", g, "--max-k", "2", "--use-automorphisms"],
+        ["repnum", g, "--max-k", "2", "--budget", "4"],
         ["repnum", g, "--max-k", "2"],
         ["repnum", g, "--max-k", "0"],
         ["repnum", g, "--max-k", "1"],
