@@ -22,6 +22,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    _mismatch_rows,
     cartesian_product,
     complete,
     cube,
@@ -58,11 +59,6 @@ def _read_one_word(path: str) -> Word:
     return words[0]
 
 
-def _emit_graph(g: Graph, fmt: str) -> None:
-    text = graph_to_json(g) if fmt == "json" else graph_to_edges_text(g)
-    sys.stdout.write(text)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "complete":
         g = complete(args.n)
@@ -76,7 +72,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         left = _load_graph_arg(args.left)
         right = _load_graph_arg(args.right)
         g = cartesian_product(left, right)
-    _emit_graph(g, args.format)
+    sys.stdout.write(graph_to_json(g) if args.format == "json" else graph_to_edges_text(g))
     return 0
 
 
@@ -106,7 +102,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _explain_mismatch(w: Word, g: Graph) -> str:
-    alpha = set(w.alphabet)
+    """The first pair in name order that alternates in ``w`` iff it is no
+    edge of g, read off the sweep that :func:`represents` runs."""
+    alpha = w.alphabet
     if alpha != g.nodes:
         missing = sorted(g.nodes - alpha)
         extra = sorted(alpha - g.nodes)
@@ -116,12 +114,15 @@ def _explain_mismatch(w: Word, g: Graph) -> str:
         if extra:
             parts.append(f"word symbols not in the graph: {' '.join(extra)}")
         return "; ".join(parts)
-    for x, y in combinations(sorted(alpha), 2):
-        alt = alternates(w, x, y)
-        if alt != g.adjacent(x, y):
-            shape = "alternate but are not an edge" if alt else "do not alternate but are an edge"
-            return f"pair {{{x},{y}}}: restriction \"{restrict(w, {x, y})}\", letters {shape}"
-    return "no mismatch found"
+    # wrong[i]: the later-starting partners j of names[i] whose pair mismatches
+    names = list(w.counts)
+    wrong = list(_mismatch_rows(w, g))
+    later_members = functools.reduce(int.__or__, wrong, 0)
+    x = min(s for i, s in enumerate(names) if wrong[i] or later_members >> i & 1)
+    i = names.index(x)
+    y = min(s for j, s in enumerate(names) if (wrong[i] >> j | wrong[j] >> i) & 1)
+    shape = "do not alternate but are an edge" if g.adjacent(x, y) else "alternate but are not an edge"
+    return f"pair {{{x},{y}}}: restriction \"{restrict(w, {x, y})}\", letters {shape}"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -269,8 +270,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 1
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than low, else a usage error."""
+def _int_within(low: int, high: int | None = None):
+    """An argparse type: an int in low..high (or at least low), else a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -279,6 +280,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -293,12 +296,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Word-representable graphs: constructions, checking, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the k-cube has 2^k nodes: time and memory about double per dimension
+    cube_dimension = _int_within(1, 20)
 
     gen = sub.add_parser("gen", help="emit a generated graph")
     gen_kind = gen.add_subparsers(dest="kind", required=True)
     for kind, flag in (("complete", "n"), ("cycle", "n"), ("cube", "k"), ("prism", "n")):
         p = gen_kind.add_parser(kind)
-        p.add_argument(f"-{flag}", type=int, required=True)
+        p.add_argument(f"-{flag}", type=cube_dimension if kind == "cube" else int, required=True)
         p.add_argument("--format", choices=("edges", "json"), default="edges")
     p = gen_kind.add_parser("product")
     p.add_argument("left", help="graph file ('-' for stdin)")
@@ -308,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="emit a constructed representant word")
     con_kind = construct.add_subparsers(dest="kind", required=True)
     p = con_kind.add_parser("cube")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=cube_dimension, required=True)
     p = con_kind.add_parser("prism")
     p.add_argument("-n", type=int, required=True)
     p = con_kind.add_parser("complete")
@@ -329,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     repnum = sub.add_parser("repnum", help="search representation number up to a bound")
     repnum.add_argument("graph", help="graph file ('-' for stdin)")
-    repnum.add_argument("--max-k", type=_int_at_least(1), required=True)
-    repnum.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_BUDGET,
+    repnum.add_argument("--max-k", type=_int_within(1), required=True)
+    repnum.add_argument("--budget", type=_int_within(1), default=DEFAULT_BUDGET,
                         help="cap on word positions per query (nodes times k)")
     repnum.add_argument("--timings", action="store_true",
                         help="include measured millis in the JSON output")
@@ -339,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="replay the randomized property checks")
     selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--trials", type=_int_at_least(0), default=50)
+    selftest.add_argument("--trials", type=_int_within(0), default=50)
 
     return parser
 

@@ -7,9 +7,10 @@ Product nodes are named "g@h" with '@' reserved for that purpose.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 from operator import or_
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .words import Word, check_symbol
 
@@ -161,17 +162,21 @@ def represents(w: Word, g: Graph) -> bool:
     one O(|w|) sweep gives each symbol's alternation bitset, which is
     compared with its neighbours in g that first occur later in w.
     """
-    if w.alphabet != g.nodes:
-        return False
+    return w.alphabet == g.nodes and not any(_mismatch_rows(w, g))
+
+
+def _mismatch_rows(w: Word, g: Graph) -> Iterator[int]:
+    """For each symbol of ``w``, in first-occurrence order, the bitset of
+    the later-starting symbols whose pair with it alternates in ``w``
+    exactly when it is no edge of g; ``w`` must spell g's nodes."""
     bit, masks = _alternation_masks(w)
     for x, i in bit.items():
         later = 0
         for y in g.neighbors(x):
-            if bit[y] > i:
-                later |= 1 << bit[y]
-        if masks[i] != later:
-            return False
-    return True
+            j = bit[y]
+            if j > i:
+                later |= 1 << j
+        yield masks[i] ^ later
 
 
 def _search_order(g: Graph) -> list[str]:
@@ -258,12 +263,18 @@ def graph_from_edges_text(text: str) -> Graph:
     return Graph(nodes, edges)
 
 
-def graph_to_json(g: Graph) -> str:
-    payload = {
+@lru_cache(maxsize=1)
+def _graph_payload(g: Graph) -> dict[str, list]:
+    """The JSON object of ``g``, sorted, kept for the last graph (``repnum``
+    prints it once per k); callers must not modify it."""
+    return {
         "nodes": sorted(g.nodes),
         "edges": [[u, v] for u, v in sorted(g.edges)],
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def graph_to_json(g: Graph) -> str:
+    return json.dumps(_graph_payload(g), indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> Graph:

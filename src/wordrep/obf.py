@@ -7,19 +7,19 @@ occurrences; concatenating projections whose index sets chain together
 preserves the represented graph, which is the engine behind the product
 constructions.
 
-Functions given by an explicit table (the constructor, :func:`obf_from_text`)
-keep that table and validate it when built.  Functions given by a rule
-(:meth:`OccurrenceBasedFunction.from_rule`, used by projections and the
-products) are lazy: :func:`apply` calls the rule per letter, and the table
-is only built when something reads it.  Either way the word that
-:func:`apply` returns validates each distinct token once, and the words
-that the constructions concatenate are not validated again.
+Every function is applied through its rule (x, i) -> image.  A function
+given by an explicit table (the constructor, :func:`obf_from_text`) looks
+the table up, and the table is validated when built.  A function given by
+a rule (:meth:`OccurrenceBasedFunction.from_rule`, used by projections
+and the products) builds and validates its table only when something
+reads it.  Either way the word that :func:`apply` returns validates each
+distinct token once, and concatenating such words checks nothing again.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .words import Word, _concat, check_symbol, uniformity
+from .words import Word, _concat, uniformity
 
 
 class ChainConditionError(ValueError):
@@ -44,14 +44,13 @@ class OccurrenceBasedFunction:
     with too many occurrences of a symbol is an error rather than a silent
     truncation.
 
-    A function given by an explicit table is checked when it is built: the
-    table must cover exactly domain x 1..bound, and its image tokens are
-    validated.  A function built by :meth:`from_rule` keeps the rule and
-    calls it per (symbol, index) inside :func:`apply`, whose result word
-    validates each distinct token once; so a bad image token raises when
-    a word reaches its (symbol, index), or when the table is read
-    (``table``, ``image``, ``==``, ``hash``, :func:`obf_to_text`), which
-    builds and validates the whole table once.
+    A table must cover exactly domain x 1..bound and hold valid domain
+    symbols and image tokens.  An explicit table is checked when built.  A
+    function built by :meth:`from_rule` keeps the rule, which :func:`apply`
+    calls per (symbol, index), so a bad image token raises when a word
+    reaches it; the table is built and checked in full when first read
+    (``table``, ``image``, ``==``, ``hash``, :func:`obf_to_text`), and only
+    then does a bad domain symbol raise, since no valid word contains it.
     """
 
     __slots__ = ("domain", "bound", "_rule", "_table")
@@ -64,8 +63,8 @@ class OccurrenceBasedFunction:
     ):
         self.domain = _check_domain(domain, bound)
         self.bound = bound
-        self._rule = None
-        self._table = _tabulate(self.domain, bound, table)
+        self._table = tab = _tabulate(self.domain, bound, table)
+        self._rule = lambda x, i: tab[(x, i)]
 
     @classmethod
     def from_rule(cls, domain: Iterable[str], bound: int, rule) -> "OccurrenceBasedFunction":
@@ -90,9 +89,6 @@ class OccurrenceBasedFunction:
     def image(self, symbol: str, index: int) -> tuple[str, ...]:
         return self.table[(symbol, index)]
 
-    def __call__(self, w: Word) -> Word:
-        return apply(self, w)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OccurrenceBasedFunction)
@@ -108,17 +104,16 @@ class OccurrenceBasedFunction:
 
 
 def _check_domain(domain: Iterable[str], bound: int) -> frozenset[str]:
-    dom = frozenset(check_symbol(s) for s in domain)
     if bound < 1:
         raise ValueError(f"occurrence bound must be positive, got {bound}")
-    return dom
+    return frozenset(domain)
 
 
 def _tabulate(
     dom: frozenset[str], bound: int, table: Mapping[tuple[str, int], Sequence[str] | Word]
 ) -> dict[tuple[str, int], tuple[str, ...]]:
     """The table as tuples, checked to cover exactly dom x 1..bound and to
-    hold valid image tokens."""
+    hold valid domain symbols and image tokens."""
     tab: dict[tuple[str, int], tuple[str, ...]] = {}
     for x in dom:
         for i in range(1, bound + 1):
@@ -129,7 +124,7 @@ def _tabulate(
     if len(table) > len(tab):
         extra = next(key for key in table if key not in tab)
         raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
-    Word(tok for toks in tab.values() for tok in toks)  # validates each distinct token once
+    Word(tok for toks in (dom, *tab.values()) for tok in toks)  # validates each distinct token once
     return tab
 
 
@@ -145,8 +140,6 @@ def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
         if n > h.bound:
             raise ValueError(f"symbol {x!r} occurs {n} times, above the occurrence bound {h.bound}")
     image = h._rule
-    if image is None:
-        image = lambda x, i, table=h._table: table[(x, i)]
     seen = dict.fromkeys(w.counts, 0)
     out: list[str] = []
     for x in w.letters:
@@ -158,11 +151,7 @@ def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
 def projection(indices: Iterable[int], alphabet: Iterable[str], bound: int) -> OccurrenceBasedFunction:
     """The occurrence-based function keeping exactly the occurrences whose
     index lies in ``indices`` and erasing the rest."""
-    idx = frozenset(indices)
-    if not idx:
-        raise ValueError("projection needs a nonempty index set")
-    if not all(isinstance(i, int) and 1 <= i <= bound for i in idx):
-        raise ValueError(f"projection indices {sorted(idx)} not within 1..{bound}")
+    idx = _check_index_set(indices, bound)
     return OccurrenceBasedFunction.from_rule(
         alphabet, bound, lambda x, i: (x,) if i in idx else ()
     )
@@ -201,14 +190,10 @@ def extend_uniform(w: Word, index: int) -> Word:
     """Prepend the ``index``-th occurrences of ``w`` to itself.
 
     For k-uniform ``w`` and 1 <= index <= k this yields a (k+1)-uniform
-    word representing the same graph.
+    word representing the same graph: the projections {index} and 1..k,
+    concatenated.  :func:`lemma1_concat` rejects a word that is not uniform.
     """
-    k = uniformity(w)
-    if k is None:
-        raise ValueError("extend_uniform needs a uniform word")
-    if not 1 <= index <= k:
-        raise ValueError(f"occurrence index {index} not within 1..{k}")
-    return apply(projection({index}, w.alphabet, k), w) + w
+    return lemma1_concat(w, [{index}, range(1, (uniformity(w) or 0) + 1)])
 
 
 def obf_to_text(h: OccurrenceBasedFunction) -> str:

@@ -34,7 +34,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import Graph, represents
+from .graphs import Graph, _graph_payload, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -72,10 +72,7 @@ def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
     """Serialize an outcome; millis is 0 unless timings is requested, so
     that identical queries produce byte-identical output."""
     payload = {
-        "graph": {
-            "nodes": sorted(outcome.graph.nodes),
-            "edges": [[u, v] for u, v in sorted(outcome.graph.edges)],
-        },
+        "graph": _graph_payload(outcome.graph),
         "k": outcome.k,
         "result": outcome.result,
         "word": str(outcome.word) if outcome.word is not None else None,

@@ -1,10 +1,12 @@
 import io
 import json
+import random
+from itertools import combinations
 
 import pytest
 
-from wordrep import Word, cube, graph_from_edges_text, represents
-from wordrep.cli import _build_parser, main
+from wordrep import Graph, Word, cube, cube_word, graph_from_edges_text, graph_of_word, represents
+from wordrep.cli import _build_parser, _explain_mismatch, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -62,6 +64,14 @@ def test_construct_cube_and_verify(capsys):
     assert code == 0
     word = Word(out)
     assert len(word) == 64 and represents(word, cube(4))
+
+
+@pytest.mark.parametrize("argv", [["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"],
+                                  ["construct", "cube", "-k", "0"]])
+def test_cube_dimension_outside_1_to_20_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "-k: must be at" in err and "Traceback" not in err
 
 
 def test_construct_complete(capsys):
@@ -132,6 +142,50 @@ def test_check_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, ["check", str(word_file), str(k4_file), "--explain"])
     assert code == 1
     assert "{1,3}" in out and "3 1 1 3" in out
+
+
+def pairwise_explanation(w, g):
+    """Test-owned oracle: the first pair in name order whose restriction to
+    the pair alternates exactly when the pair is no edge."""
+    for x, y in combinations(sorted(g.nodes), 2):
+        kept = [t for t in w.letters if t == x or t == y]
+        alt = all(a != b for a, b in zip(kept, kept[1:]))
+        if alt != g.adjacent(x, y):
+            shape = "alternate but are not an edge" if alt else "do not alternate but are an edge"
+            restriction = " ".join(kept)
+            return f'pair {{{x},{y}}}: restriction "{restriction}", letters {shape}'
+    return None
+
+
+def test_explain_matches_pairwise_oracle():
+    # names s0..s11 so that name order and first-occurrence order differ
+    # ("s10" < "s2"); the graph is the word's own with a few pairs flipped,
+    # or a random graph on its alphabet
+    rng = random.Random(4242)
+    for trial in range(600):
+        letters = []
+        for s in rng.sample(range(12), rng.randint(2, 7)):
+            letters += [f"s{s}"] * rng.randint(1, 4)
+        rng.shuffle(letters)
+        w = Word(letters)
+        pairs = list(combinations(sorted(w.alphabet), 2))
+        if trial % 2:
+            edges = set(graph_of_word(w).edges) ^ set(rng.sample(pairs, rng.randint(1, min(3, len(pairs)))))
+        else:
+            edges = {e for e in pairs if rng.random() < 0.5}
+        g = Graph(w.alphabet, edges)
+        if represents(w, g):
+            continue
+        assert _explain_mismatch(w, g) == pairwise_explanation(w, g), (w, sorted(edges))
+
+
+def test_explain_names_the_one_missing_edge_of_the_12_cube():
+    g = cube(12)
+    last = max(g.edges)
+    g = Graph(g.nodes, g.edges - {last})
+    text = _explain_mismatch(cube_word(12), g)
+    assert text.startswith(f"pair {{{last[0]},{last[1]}}}: restriction ")
+    assert text.endswith(", letters alternate but are not an edge")
 
 
 def test_check_empty_word_input_exits_2(capsys, monkeypatch, tmp_path):

@@ -49,6 +49,20 @@ def test_image_tokens_are_validated():
         OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a@",)})
 
 
+def test_domain_symbols_are_validated_with_the_table():
+    # a valid word never holds an invalid domain symbol, so a rule-built
+    # function applies; its table, once read, is checked in full
+    h = OccurrenceBasedFunction.from_rule({"a", "b@"}, 2, lambda x, i: (x,))
+    assert apply(h, Word("a a")) == Word("a a")
+    with pytest.raises(ValueError, match="b@"):
+        obf_to_text(h)
+    h = OccurrenceBasedFunction.from_rule({"a", "b@"}, 2, lambda x, i: (x,))
+    with pytest.raises(ValueError, match="b@"):
+        h.table
+    with pytest.raises(ValueError, match="b@"):
+        OccurrenceBasedFunction({"a", "b@"}, 1, {("a", 1): ("a",), ("b@", 1): ()})
+
+
 def test_table_entries_outside_the_domain_are_rejected():
     with pytest.raises(ValueError, match=r"\('z', 1\)"):
         OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a",), ("z", 1): ("q",)})

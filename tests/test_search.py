@@ -13,6 +13,8 @@ from wordrep import (
     cube,
     cycle,
     extend_uniform,
+    graph_from_json,
+    graph_to_json,
     is_k_representable,
     outcome_to_json,
     representation_number,
@@ -239,3 +241,12 @@ def test_outcome_json_shape_and_determinism():
     assert timed["millis"] >= 0
     exhausted = json.loads(outcome_to_json(is_k_representable(cycle(4), 1)))
     assert exhausted["result"] == "exhausted" and exhausted["word"] is None
+
+
+def test_outcome_and_graph_json_share_one_payload():
+    # the payload is kept for the last graph only; switching graphs back
+    # and forth must give each graph its own nodes and edges
+    for g in (cycle(4), complete(3), cycle(4), complete(3)):
+        graph_json = graph_to_json(g)
+        assert json.loads(outcome_to_json(is_k_representable(g, 1)))["graph"] == json.loads(graph_json)
+        assert graph_from_json(graph_json) == g
