@@ -355,6 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if [getattr(args, name, None) for name in ("word", "graph", "left", "right")].count("-") > 1:
+        print("error: stdin ('-') can be read only once per command", file=sys.stderr)
+        return 2
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:

@@ -199,8 +199,6 @@ def isomorphic(g: Graph, h: Graph) -> dict[str, str] | None:
     Brute force with degree pruning; meant for the small graphs handled
     here (up to around 16 nodes).
     """
-    if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
-        return None
     if sorted(g.degree(v) for v in g.nodes) != sorted(h.degree(v) for v in h.nodes):
         return None
     mapping: dict[str, str] = {}
@@ -282,6 +280,8 @@ def graph_from_json(text: str) -> Graph:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad graph JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad graph JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("graph JSON must be an object with 'nodes' and 'edges'")
     nodes = payload.get("nodes", [])
@@ -291,33 +291,21 @@ def graph_from_json(text: str) -> Graph:
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of 2-arrays of strings")
     node_set = set(nodes)
-    pairs: list[tuple[str, str]] = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
             raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
         node_set.update(e)
-        pairs.append((e[0], e[1]))
-    return Graph(node_set, pairs)
+    return Graph(node_set, edges)
 
 
-def parse_graph(text: str, fmt: str = "auto") -> Graph:
-    """Parse edge-list or JSON text; 'auto' sniffs a leading '{'."""
-    if fmt == "auto":
-        stripped = text.lstrip()
-        fmt = "json" if stripped.startswith("{") else "edges"
-    if fmt == "json":
+def parse_graph(text: str) -> Graph:
+    """JSON when the first non-blank character is '{' or '[', else an edge list."""
+    if text.lstrip().startswith(("{", "[")):
         return graph_from_json(text)
-    if fmt == "edges":
-        return graph_from_edges_text(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return graph_from_edges_text(text)
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file; format chosen by extension, sniffed otherwise."""
+    """Read a graph file; its content picks the format, as in parse_graph."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path.endswith(".json"):
-        return graph_from_json(text)
-    if path.endswith(".edges"):
-        return graph_from_edges_text(text)
-    return parse_graph(text)
+        return parse_graph(fh.read())

@@ -214,6 +214,34 @@ def test_check_reads_json_graphs(capsys, monkeypatch, tmp_path):
     assert code == 0
 
 
+def test_check_picks_the_graph_format_by_content_not_name(capsys, monkeypatch, tmp_path):
+    word = run(capsys, ["construct", "cube", "-k", "3"])[1]
+    for fmt, name in (("json", "g.edges"), ("edges", "g.json")):
+        graph_file = tmp_path / name
+        graph_file.write_text(run(capsys, ["gen", "cube", "-k", "3", "--format", fmt])[1])
+        code, out, err = run(capsys, ["check", "-", str(graph_file)], stdin=word,
+                             monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("argv", [["check", "w.txt", "g.json"], ["repnum", "g.json", "--max-k", "1"],
+                                  ["gen", "product", "g.json", "g.json"]])
+def test_deeply_nested_json_graph_exits_2(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "w.txt").write_text("1 2\n")
+    (tmp_path / "g.json").write_text('{"nodes": ' + "[" * 100_000 + "\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: bad graph JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [["gen", "product", "-", "-"], ["check", "-", "-"]])
+def test_stdin_named_twice_is_a_usage_error(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, argv, stdin="1 2\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: stdin ('-') can be read only once per command\n"
+
+
 @pytest.mark.parametrize("edges", ["5", "null"])
 def test_non_array_json_edges_exit_2(capsys, tmp_path, edges):
     graph_file = tmp_path / "g.json"

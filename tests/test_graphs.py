@@ -19,6 +19,7 @@ from wordrep import (
     graph_to_edges_text,
     graph_to_json,
     isomorphic,
+    load_graph,
     parse_graph,
     represents,
 )
@@ -243,9 +244,27 @@ def test_json_parsing_errors():
     for edges in ("5", "null"):
         with pytest.raises(ValueError, match="'edges' must be an array"):
             graph_from_json('{"nodes": ["1"], "edges": %s}' % edges)
+    # deeper than any recursion limit: a clean error, not a RecursionError
+    for text in ('{"nodes": ' + "[" * 100_000, "[" * 100_000):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            graph_from_json(text)
 
 
 def test_parse_graph_autodetects_format():
     g = cycle(4)
     assert parse_graph(graph_to_json(g)) == g
     assert parse_graph(graph_to_edges_text(g)) == g
+    assert parse_graph("\n  \n" + graph_to_json(g)) == g
+    assert parse_graph("# the 4-cycle\n" + graph_to_edges_text(g)) == g
+    assert parse_graph("") == parse_graph(" \n\n") == Graph([])
+    with pytest.raises(ValueError, match="must be an object"):
+        parse_graph('[["1", "2"]]')
+
+
+@pytest.mark.parametrize("name", ["g.edges", "g.json", "g.txt", "g"])
+def test_load_graph_reads_either_format_under_any_name(tmp_path, name):
+    g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
+    path = tmp_path / name
+    for text in (graph_to_json(g), graph_to_edges_text(g)):
+        path.write_text(text)
+        assert load_graph(str(path)) == g
