@@ -14,6 +14,7 @@ import sys
 from itertools import combinations
 
 from .constructions import (
+    MAX_CUBE_DIMENSION,
     complete_word,
     cube_word,
     prism_word,
@@ -114,13 +115,12 @@ def _explain_mismatch(w: Word, g: Graph) -> str:
         if extra:
             parts.append(f"word symbols not in the graph: {' '.join(extra)}")
         return "; ".join(parts)
-    # wrong[i]: the later-starting partners j of names[i] whose pair mismatches
-    names = list(w.counts)
+    # wrong[i]: the later-starting partners j of g.names[i] whose pair mismatches
     wrong = list(_mismatch_rows(w, g))
     later_members = functools.reduce(int.__or__, wrong, 0)
-    x = min(s for i, s in enumerate(names) if wrong[i] or later_members >> i & 1)
-    i = names.index(x)
-    y = min(s for j, s in enumerate(names) if (wrong[i] >> j | wrong[j] >> i) & 1)
+    i = next(i for i, row in enumerate(wrong) if row or later_members >> i & 1)
+    j = next(j for j in range(len(wrong)) if (wrong[i] >> j | wrong[j] >> i) & 1)
+    x, y = g.names[i], g.names[j]
     shape = "do not alternate but are an edge" if g.adjacent(x, y) else "alternate but are not an edge"
     return f"pair {{{x},{y}}}: restriction \"{restrict(w, {x, y})}\", letters {shape}"
 
@@ -297,13 +297,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # the k-cube has 2^k nodes: time and memory about double per dimension
-    cube_dimension = _int_within(1, 20)
+    cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
+    # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines
+    graph_size = _int_within(1, 1000)
 
     gen = sub.add_parser("gen", help="emit a generated graph")
     gen_kind = gen.add_subparsers(dest="kind", required=True)
     for kind, flag in (("complete", "n"), ("cycle", "n"), ("cube", "k"), ("prism", "n")):
         p = gen_kind.add_parser(kind)
-        p.add_argument(f"-{flag}", type=cube_dimension if kind == "cube" else int, required=True)
+        p.add_argument(f"-{flag}", type=cube_dimension if kind == "cube" else graph_size, required=True)
         p.add_argument("--format", choices=("edges", "json"), default="edges")
     p = gen_kind.add_parser("product")
     p.add_argument("left", help="graph file ('-' for stdin)")
@@ -315,9 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = con_kind.add_parser("cube")
     p.add_argument("-k", type=cube_dimension, required=True)
     p = con_kind.add_parser("prism")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=graph_size, required=True)
     p = con_kind.add_parser("complete")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=graph_size, required=True)
     p.add_argument("-k", type=int, required=True)
     p = con_kind.add_parser("product-k2")
     p.add_argument("word", nargs="?", default="-", help="word file ('-' for stdin)")

@@ -112,6 +112,8 @@ def product_kn_word(w: Word, n: int) -> Word:
     return _concat([apply(f, w) for f in reversed(fs)])
 
 
+MAX_CUBE_DIMENSION = 20  # k * 2^k letters: time and memory about double per dimension
+
 # 2-uniform seed for the 2-cube: the 4-cycle word 31421324 under the frozen
 # node bijection 1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01.
 _CUBE2_WORD = ("11", "00", "01", "10", "00", "11", "10", "01")
@@ -124,8 +126,8 @@ def cube_word(k: int) -> Word:
     Built by stacking the two-copy product on the dimension-2 seed word,
     relabelling x@1 -> x0 and x@2 -> x1 at each step.
     """
-    if k < 1:
-        raise ValueError(f"cube word needs k >= 1, got {k}")
+    if not 1 <= k <= MAX_CUBE_DIMENSION:
+        raise ValueError(f"cube word needs 1 <= k <= {MAX_CUBE_DIMENSION}, got {k}")
     if k == 1:
         return Word(("0", "1"))
     if k == 2:

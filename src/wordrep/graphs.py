@@ -1,14 +1,17 @@
 """Finite simple graphs, standard generators, Cartesian products, and the
 map from words to graphs via letter alternation.
 
-Graph equality is name-sensitive; isomorphism is a separate operation.
+A graph is kept as an index: its sorted node names and one int adjacency
+mask per node.  Verification, the search and isomorphism read the masks
+directly; the edge set is built from them only when asked for.  Graph
+equality is name-sensitive; isomorphism is a separate operation.
 Product nodes are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import or_
 from collections.abc import Iterable, Iterator
 
@@ -20,47 +23,69 @@ class NamingConflictError(ValueError):
 
 
 class Graph:
-    """Immutable simple undirected graph over string-named nodes."""
+    """Immutable simple undirected graph over string-named nodes, kept as an
+    index: ``names`` is the sorted tuple of node names, ``index`` maps each
+    name to its position there, and ``masks[i]`` is the int bitmask of the
+    positions adjacent to ``names[i]``.  ``nodes`` is the frozenset of names;
+    ``edges``, the frozenset of (u, v) pairs with u < v, is built from the
+    masks on first use and kept."""
 
-    __slots__ = ("nodes", "edges", "_adj")
+    __slots__ = ("nodes", "names", "index", "masks", "_edges")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        node_set = frozenset(check_symbol(v) for v in nodes)
-        edge_set = set()
-        adj: dict[str, set[str]] = {v: set() for v in node_set}
+        # names are checked before they are sorted, which raises TypeError on a non-str
+        self.nodes = frozenset(map(check_symbol, nodes))
+        self.names = tuple(sorted(self.nodes))
+        self.index = index = {v: i for i, v in enumerate(self.names)}
+        masks = [0] * len(index)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u!r} not allowed")
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
-            edge_set.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
-        self.nodes = node_set
-        self.edges = frozenset(edge_set)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set") from None
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self.masks = tuple(masks)
+        self._edges = None
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        if self._edges is None:
+            names = self.names
+            self._edges = frozenset(
+                # m >> i << i keeps the neighbours after i: each edge once, as (u, v) with u < v
+                (names[i], names[j]) for i, m in enumerate(self.masks) for j in _bits(m >> i << i)
+            )
+        return self._edges
 
     def adjacent(self, u: str, v: str) -> bool:
-        return v in self._adj[u]
+        mask = self.masks[self.index[u]]
+        return v in self.index and mask >> self.index[v] & 1 == 1
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self._adj[v]
+        return frozenset(self.names[j] for j in _bits(self.masks[self.index[v]]))
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return self.masks[self.index[v]].bit_count()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.names == other.names and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.nodes, self.edges))
+        return hash((self.names, self.masks))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"Graph({len(self.names)} nodes, {sum(m.bit_count() for m in self.masks) // 2} edges)"
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def complete(n: int) -> Graph:
@@ -85,32 +110,23 @@ def cube(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"cube needs k >= 1, got {k}")
     names = ["".join(bits) for bits in product("01", repeat=k)]
-    edges = []
-    for v in names:
-        for i in range(k):
-            if v[i] == "0":
-                edges.append((v, v[:i] + "1" + v[i + 1:]))
+    edges = [(v, v[:i] + "1" + v[i + 1:]) for v in names for i in range(k) if v[i] == "0"]
     return Graph(names, edges)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product on nodes "a@b": edges move along one factor at a time."""
-    names = {(a, b): f"{a}@{b}" for a in g.nodes for b in h.nodes}
+    names = {(a, b): f"{a}@{b}" for a in g.names for b in h.names}
     if len(set(names.values())) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")
-    edges = []
-    for a in g.nodes:
-        for u, v in h.edges:
-            edges.append((names[(a, u)], names[(a, v)]))
-    for u, v in g.edges:
-        for b in h.nodes:
-            edges.append((names[(u, b)], names[(v, b)]))
+    edges = [(names[(a, u)], names[(a, v)]) for a in g.names for u, v in h.edges]
+    edges += [(names[(u, b)], names[(v, b)]) for u, v in g.edges for b in h.names]
     return Graph(names.values(), edges)
 
 
-def _alternation_masks(w: Word) -> tuple[dict[str, int], list[int]]:
-    """Each symbol's bit, numbered by first occurrence, and for each symbol
-    the bitset of the later-starting symbols it alternates with.
+def _alternation_rows(w: Word, index: dict[str, int]) -> Iterator[int]:
+    """For each symbol of ``w``, numbered by ``index``, the bitset of the
+    symbols starting later in ``w`` that it alternates with.
 
     One sweep over the word: ``classes[j]`` holds the symbols seen exactly
     j times so far.  At the i-th occurrence of x, x is in class i-1, and
@@ -118,23 +134,23 @@ def _alternation_masks(w: Word) -> tuple[dict[str, int], list[int]]:
     exactly i-1 copies of y precede the i-th x for every i, which means y
     starts after x and one y falls between consecutive x's.  With
     count(y) <= count(x) at most one y follows the last x, so x and y
-    alternate.  Every alternating pair lands in the mask of the symbol
+    alternate.  Every alternating pair lands in the row of the symbol
     that comes first; the sweep costs O(|w|) big-integer operations.
+    ``index`` must number exactly the symbols of ``w``.
     """
-    bit = {x: i for i, x in enumerate(w.counts)}
-    n = len(bit)
+    n = len(index)
     classes = [(1 << n) - 1] + [0] * max(w.counts.values(), default=0)
     seen = [0] * n
     acc = [-1] * n
-    for x in w.letters:
-        i = bit[x]
+    for i in map(index.__getitem__, w.letters):
         j = seen[i]
         acc[i] &= classes[j]
-        classes[j] ^= 1 << i
-        classes[j + 1] |= 1 << i
+        bit = 1 << i
+        classes[j] ^= bit
+        classes[j + 1] |= bit
         seen[i] = j + 1
     at_most = list(accumulate(classes, or_))  # at_most[c]: symbols occurring <= c times
-    return bit, [acc[i] & at_most[seen[i]] & ~(1 << i) for i in range(n)]
+    return (acc[i] & at_most[seen[i]] & ~(1 << i) for i in range(n))
 
 
 def graph_of_word(w: Word) -> Graph:
@@ -144,15 +160,9 @@ def graph_of_word(w: Word) -> Graph:
     symbol, so it costs O(|w|) big-integer operations rather than a test
     of every pair.
     """
-    bit, masks = _alternation_masks(w)
-    symbols = list(bit)
-    edges = []
-    for x, mask in zip(symbols, masks):
-        while mask:
-            low = mask & -mask
-            edges.append((x, symbols[low.bit_length() - 1]))
-            mask ^= low
-    return Graph(symbols, edges)
+    names = sorted(w.counts)
+    rows = _alternation_rows(w, {x: i for i, x in enumerate(names)})
+    return Graph(names, ((names[i], names[j]) for i, row in enumerate(rows) for j in _bits(row)))
 
 
 def represents(w: Word, g: Graph) -> bool:
@@ -166,29 +176,25 @@ def represents(w: Word, g: Graph) -> bool:
 
 
 def _mismatch_rows(w: Word, g: Graph) -> Iterator[int]:
-    """For each symbol of ``w``, in first-occurrence order, the bitset of
-    the later-starting symbols whose pair with it alternates in ``w``
-    exactly when it is no edge of g; ``w`` must spell g's nodes."""
-    bit, masks = _alternation_masks(w)
-    for x, i in bit.items():
-        later = 0
-        for y in g.neighbors(x):
-            j = bit[y]
-            if j > i:
-                later |= 1 << j
-        yield masks[i] ^ later
+    """For each node of g, in name order, the bitset of the nodes starting
+    later in ``w`` whose pair with it alternates in ``w`` exactly when it
+    is no edge of g; ``w`` must spell g's nodes."""
+    first = [g.index[x] for x in w.counts]  # first-occurrence order
+    # upto[i]: the nodes whose first occurrence is not after that of node i
+    upto = dict(zip(first, accumulate((1 << i for i in first), or_)))
+    rows = _alternation_rows(w, g.index)
+    return (row ^ (mask & ~upto[i]) for i, (row, mask) in enumerate(zip(rows, g.masks)))
 
 
-def _search_order(g: Graph) -> list[str]:
-    # Greedy: after the first node, prefer nodes with many already-placed
-    # neighbors so adjacency constraints bite early.
-    remaining = set(g.nodes)
-    order: list[str] = []
-    placed: set[str] = set()
+def _search_order(g: Graph) -> list[int]:
+    # Greedy over node positions: after the first node, prefer nodes with
+    # many already-placed neighbors so adjacency constraints bite early.
+    remaining = set(range(len(g.names)))
+    order, placed = [], 0
     while remaining:
-        best = min(remaining, key=lambda v: (-len(g.neighbors(v) & placed), v))
+        best = min(remaining, key=lambda i: (-(g.masks[i] & placed).bit_count(), i))
         order.append(best)
-        placed.add(best)
+        placed |= 1 << best
         remaining.remove(best)
     return order
 
@@ -196,69 +202,60 @@ def _search_order(g: Graph) -> list[str]:
 def isomorphic(g: Graph, h: Graph) -> dict[str, str] | None:
     """An adjacency-preserving node bijection, or None.
 
-    Brute force with degree pruning; meant for the small graphs handled
-    here (up to around 16 nodes).
+    Brute force with degree pruning over the adjacency masks; meant for
+    the small graphs handled here (up to around 16 nodes).
     """
-    if sorted(g.degree(v) for v in g.nodes) != sorted(h.degree(v) for v in h.nodes):
+    g_deg = [m.bit_count() for m in g.masks]
+    h_deg = [m.bit_count() for m in h.masks]
+    if sorted(g_deg) != sorted(h_deg):
         return None
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(a: str, b: str) -> bool:
-        if g.degree(a) != h.degree(b):
-            return False
-        for a2, b2 in mapping.items():
-            if g.adjacent(a, a2) != h.adjacent(b, b2):
-                return False
-        return True
-
+    image: dict[int, int] = {}  # position in g -> position in h
+    used: set[int] = set()
     order = _search_order(g)
-    h_sorted = sorted(h.nodes)
 
-    def extend(i: int) -> bool:
-        if i == len(order):
+    def extend(p: int) -> bool:
+        if p == len(order):
             return True
-        a = order[i]
+        a = order[p]
+        row = g.masks[a]
         # Try the same name first so that isomorphic(G, G) yields identity.
-        candidates = sorted(h_sorted, key=lambda b: (b != a, b))
-        for b in candidates:
-            if b in used or not consistent(a, b):
+        same = h.index.get(g.names[a], -1)
+        for b in sorted(range(len(h_deg)), key=lambda b: (b != same, b)):
+            if b in used or h_deg[b] != g_deg[a] or any(
+                row >> a2 & 1 != h.masks[b] >> b2 & 1 for a2, b2 in image.items()
+            ):
                 continue
-            mapping[a] = b
+            image[a] = b
             used.add(b)
-            if extend(i + 1):
+            if extend(p + 1):
                 return True
-            del mapping[a]
+            del image[a]
             used.remove(b)
         return False
 
-    return dict(mapping) if extend(0) else None
+    return {g.names[a]: h.names[b] for a, b in image.items()} if extend(0) else None
 
 
 def graph_to_edges_text(g: Graph) -> str:
     """Edge-list form: one "u v" line per edge, then one line per isolated node."""
     lines = [f"{u} {v}" for u, v in sorted(g.edges)]
-    covered = {v for e in g.edges for v in e}
-    lines.extend(sorted(g.nodes - covered))
+    lines.extend(v for v, m in zip(g.names, g.masks) if not m)
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def graph_from_edges_text(text: str) -> Graph:
-    nodes: set[str] = set()
+    tokens: list[str] = []  # in input order, so the first bad name is reported
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) == 1:
-            nodes.add(parts[0])
-        elif len(parts) == 2:
-            nodes.update(parts)
+        tokens += parts
+        if len(parts) == 2:
             edges.append((parts[0], parts[1]))
-        else:
-            raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {line!r}")
-    return Graph(nodes, edges)
+        elif len(parts) > 2:
+            raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {raw.strip()!r}")
+    return Graph(dict.fromkeys(tokens), edges)
 
 
 @lru_cache(maxsize=1)
@@ -266,7 +263,7 @@ def _graph_payload(g: Graph) -> dict[str, list]:
     """The JSON object of ``g``, sorted, kept for the last graph (``repnum``
     prints it once per k); callers must not modify it."""
     return {
-        "nodes": sorted(g.nodes),
+        "nodes": list(g.names),
         "edges": [[u, v] for u, v in sorted(g.edges)],
     }
 
@@ -290,12 +287,10 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of 2-arrays of strings")
-    node_set = set(nodes)
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
             raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
-        node_set.update(e)
-    return Graph(node_set, edges)
+    return Graph(dict.fromkeys(chain(nodes, chain.from_iterable(edges))), edges)
 
 
 def parse_graph(text: str) -> Graph:

@@ -15,11 +15,12 @@ completeness tests compare against.  Every witness is re-checked with
 represents() before being returned, so no reduction can produce a false
 positive.
 
-The state is a few int bitmasks over the node indices, built once per
-query: nbr[x] and non[x] hold x's neighbours and non-neighbours,
-brk[x] the partners whose alternation with x is already broken (kept
-symmetric, and only the newly broken bits are set and undone), and
-since[x] the symbols placed after x's last copy.  since is a new list at
+The state is a few int bitmasks over the positions of the graph's sorted
+names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
+once per query, holds x's non-neighbours; brk[x] the partners whose
+alternation with x is already broken (kept symmetric, and only the newly
+broken bits are set and undone); and since[x] the symbols placed after
+x's last copy.  since is a new list at
 each depth.  A further copy of x repeats with every symbol outside
 since[x]: a neighbour there cuts the branch, and the non-neighbours there
 become broken.  Each stack frame holds a placed letter x, the pairs it
@@ -110,11 +111,9 @@ def is_k_representable(
     if total > budget:
         return SearchOutcome(g, k, "resource-limit", None, 0, 0.0)
 
-    names = sorted(g.nodes)
+    names, nbr = g.names, g.masks
     n = len(names)
-    index = {v: i for i, v in enumerate(names)}
     full = (1 << n) - 1
-    nbr = [sum(1 << index[u] for u in g.neighbors(v)) for v in names]
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
 
     counts = [0] * n

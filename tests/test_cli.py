@@ -42,6 +42,22 @@ def test_gen_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["gen", "complete", "-n", "1001"], ["gen", "cycle", "-n", "100000000"],
+                                  ["gen", "prism", "-n", "1001"], ["construct", "prism", "-n", "100000000"],
+                                  ["construct", "complete", "-n", "1001", "-k", "2"]])
+def test_graph_size_above_1000_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and "-n: must be at most 1000" in err and "Traceback" not in err
+
+
+def test_graph_size_1000_is_accepted(capsys):
+    code, out, _ = run(capsys, ["construct", "prism", "-n", "1000", "--verify"])
+    assert code == 0 and len(out.split()) == 6000
+    code, out, _ = run(capsys, ["gen", "cycle", "-n", "1000"])
+    assert code == 0 and len(out.splitlines()) == 1000
+
+
 def test_gen_product(capsys, tmp_path):
     a = tmp_path / "a.edges"
     b = tmp_path / "b.edges"

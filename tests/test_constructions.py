@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from wordrep import graphs, words
+from wordrep import constructions, graphs, words
+from wordrep.cli import _build_parser
 from wordrep import (
     Word,
     alternates,
@@ -138,6 +139,16 @@ def test_cube_word_base_cases():
     assert represents(cube_word(2), cube(2))
     with pytest.raises(ValueError):
         cube_word(0)
+
+
+def test_cube_word_dimension_is_bounded_like_the_cli():
+    # above the bound a clear ValueError, not a RecursionError per dimension
+    assert constructions.MAX_CUBE_DIMENSION == 20
+    for k in (0, 21, 1200):
+        with pytest.raises(ValueError, match=r"1 <= k <= 20, got"):
+            cube_word(k)
+    args = _build_parser().parse_args(["construct", "cube", "-k", "20"])
+    assert args.k == 20
 
 
 def test_cube_word_represents_cube():

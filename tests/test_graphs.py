@@ -8,6 +8,7 @@ from wordrep import (
     Graph,
     NamingConflictError,
     Word,
+    alternates,
     cartesian_product,
     complete,
     cube,
@@ -36,6 +37,39 @@ def test_graph_normalizes_edges_and_validates():
         Graph(["a"], [("a", "a")])
     with pytest.raises(ValueError, match="endpoint"):
         Graph(["a"], [("a", "b")])
+
+
+@pytest.mark.parametrize("nodes", [[1, "a"], ["a", None]])
+def test_graph_validates_node_names_before_sorting_them(nodes):
+    # sorting these would raise TypeError; the name check comes first
+    with pytest.raises(ValueError, match="invalid symbol token"):
+        Graph(nodes)
+
+
+def test_graph_equality_and_hash_ignore_edge_orientation_and_order():
+    rng = random.Random(97)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 7))
+        pairs = list(g.edges)
+        rng.shuffle(pairs)
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        same = Graph(reversed(sorted(g.nodes)), flipped)
+        assert same == g and hash(same) == hash(g) and same.edges == g.edges
+        u, v = rng.sample(sorted(g.nodes), 2)
+        toggled = Graph(g.nodes, set(g.edges) ^ {(min(u, v), max(u, v))})
+        assert toggled != g and toggled.adjacent(u, v) != g.adjacent(u, v)
+    assert Graph(["a", "b"]) != Graph(["a", "c"])
+
+
+@pytest.mark.parametrize("text, first", [
+    ("ok a!\nb! c!\n", "a!"),
+    ('{"nodes": ["x", "n!"], "edges": [["e!", "x"]]}', "n!"),
+    ('{"nodes": ["x"], "edges": [["x", "e!"], ["f!", "x"]]}', "e!"),
+])
+def test_parsers_report_the_first_invalid_name_in_input_order(text, first):
+    # the names reach Graph in input order, not in a set's hash order
+    with pytest.raises(ValueError, match=f"invalid symbol token: '{first}'"):
+        parse_graph(text)
 
 
 def test_complete_generator():
@@ -186,6 +220,32 @@ def test_sweep_matches_pairwise_oracle_on_nonuniform_words():
     # two or more apart, which never alternate
     assert {(0, True), (0, False), (1, True), (1, False), (2, False)} <= seen_shapes
     assert (2, True) not in seen_shapes
+
+
+def test_represents_agrees_with_pairwise_alternates_oracle():
+    # the oracle tests every pair with words.alternates; the graphs are the
+    # word's own graph with 0-3 pairs toggled
+    rng = random.Random(4242)
+    toggles = set()
+    for t in range(600):
+        if t % 2:
+            w = random_nonuniform_word(rng)
+        else:
+            size, k = rng.randint(1, 6), rng.randint(1, 4)
+            letters = [f"u{i}" for i in range(size)] * k
+            rng.shuffle(letters)
+            w = Word(letters)
+        names = sorted(w.alphabet)
+        pairs = list(combinations(names, 2))
+        edges = {(x, y) for x, y in pairs if alternates(w, x, y)}
+        assert graph_of_word(w) == Graph(names, edges), w
+        flips = set(rng.sample(pairs, min(len(pairs), rng.randint(0, 3))))
+        toggles.add(len(flips))
+        g = Graph(names, edges ^ flips)
+        oracle = all(alternates(w, x, y) == g.adjacent(x, y) for x, y in pairs)
+        assert oracle == (not flips)
+        assert represents(w, g) == oracle, (w, sorted(flips))
+    assert toggles == {0, 1, 2, 3}
 
 
 def test_cube_12_verifies_in_linear_time():
