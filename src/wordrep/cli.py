@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
-from itertools import combinations
 
 from .constructions import (
     MAX_CUBE_DIMENSION,
@@ -35,9 +33,8 @@ from .graphs import (
     parse_graph,
     represents,
 )
-from .obf import ChainConditionError, lemma1_concat
 from .search import DEFAULT_BUDGET, is_k_representable, outcome_to_json
-from .words import Word, alternates, parse_words, restrict, uniformity
+from .words import Word, parse_words, restrict
 
 
 def _read_text(path: str) -> str:
@@ -158,118 +155,6 @@ def cmd_repnum(args: argparse.Namespace) -> int:
     return 1
 
 
-def _random_uniform_word(rng: random.Random, size: int, k: int) -> Word:
-    letters = [str(i) for i in range(1, size + 1)] * k
-    rng.shuffle(letters)
-    return Word(letters)
-
-
-def _random_chain_sets(rng: random.Random, k: int) -> list[frozenset[int]]:
-    sets = [
-        set(rng.sample(range(1, k + 1), rng.randint(1, k)))
-        for _ in range(rng.randint(2, 4))
-    ]
-    for j in range(1, k):
-        if not any(j in a and j + 1 in a for a in sets):
-            rng.choice(sets).update((j, j + 1))
-    return [frozenset(a) for a in sets]
-
-
-def _random_violating_sets(rng: random.Random, k: int) -> list[frozenset[int]]:
-    # Uncover one consecutive pair on purpose; k >= 2 required.
-    sets = _random_chain_sets(rng, k)
-    j = rng.randint(1, k - 1)
-    out = []
-    for a in sets:
-        trimmed = set(a)
-        if j in trimmed and j + 1 in trimmed:
-            trimmed.discard(j + 1)
-        out.append(frozenset(trimmed) if trimmed else frozenset({j}))
-    return out
-
-
-def _random_graph(rng: random.Random, size: int) -> Graph:
-    names = [str(i) for i in range(1, size + 1)]
-    edges = [e for e in combinations(names, 2) if rng.random() < 0.5]
-    return Graph(names, edges)
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    trials = args.trials
-
-    def run(name: str, count: int, body) -> bool:
-        for t in range(count):
-            problem = body()
-            if problem is not None:
-                print(f"FAIL {name} (trial {t}): {problem}")
-                return False
-        print(f"ok {name} ({count} trials)")
-        return True
-
-    def lemma1_roundtrip() -> str | None:
-        w = _random_uniform_word(rng, rng.randint(2, 5), rng.randint(2, 4))
-        sets = _random_chain_sets(rng, uniformity(w))
-        out = lemma1_concat(w, sets)
-        if graph_of_word(out) != graph_of_word(w):
-            return f"graph changed for w={w} sets={sets}"
-        return None
-
-    def lemma1_rejection() -> str | None:
-        k = rng.randint(2, 4)
-        w = _random_uniform_word(rng, rng.randint(2, 5), k)
-        sets = _random_violating_sets(rng, k)
-        try:
-            lemma1_concat(w, sets)
-        except ChainConditionError as exc:
-            covered = any(exc.uncovered in a and exc.uncovered + 1 in a for a in sets)
-            return f"reported j={exc.uncovered} is covered" if covered else None
-        return f"violation not rejected for sets={sets}"
-
-    def product_equivalence() -> str | None:
-        w = _random_uniform_word(rng, rng.randint(2, 5), rng.randint(2, 4))
-        g = graph_of_word(w)
-        if graph_of_word(product_k2_word(w)) != cartesian_product(g, complete(2)):
-            return f"two-copy product mismatch for w={w}"
-        n = rng.randint(2, 4)
-        if graph_of_word(product_kn_word(w, n)) != cartesian_product(g, complete(n)):
-            return f"{n}-copy product mismatch for w={w}"
-        return None
-
-    def diagonal_alternation() -> str | None:
-        w = _random_uniform_word(rng, rng.randint(2, 4), rng.randint(2, 3))
-        n = rng.randint(2, 3)
-        out = product_kn_word(w, n)
-        k_out = uniformity(out)
-        for x in w.alphabet:
-            for i, j in combinations(range(1, n + 1), 2):
-                a, b = f"{x}@{i}", f"{x}@{j}"
-                if len(restrict(out, {a, b})) != 2 * k_out or not alternates(out, a, b):
-                    return f"diagonal pair {a},{b} not fully alternating in {out}"
-        return None
-
-    def search_agreement() -> str | None:
-        g = _random_graph(rng, rng.randint(2, 4))
-        k = rng.randint(1, 2)
-        pruned = is_k_representable(g, k).found
-        unpruned = is_k_representable(g, k, prune=False).found
-        if pruned != unpruned:
-            return f"disagreement on {g!r} k={k}: pruned={pruned} unpruned={unpruned}"
-        return None
-
-    passed = (
-        run("lemma1-roundtrip", trials, lemma1_roundtrip)
-        and run("lemma1-rejection", trials, lemma1_rejection)
-        and run("product-equivalence", trials, product_equivalence)
-        and run("diagonal-alternation", max(10, trials // 5), diagonal_alternation)
-        and run("search-agreement", max(10, trials // 5), search_agreement)
-    )
-    if passed:
-        print(f"selftest passed (seed {args.seed})")
-        return 0
-    return 1
-
-
 def _int_within(low: int, high: int | None = None):
     """An argparse type: an int in low..high (or at least low), else a usage error."""
 
@@ -298,7 +183,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the k-cube has 2^k nodes: time and memory about double per dimension
     cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
-    # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines
+    # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines.
+    # The same bound caps the copies a construction makes of each node
+    # (complete -k, product-kn -n): product-kn -n 1000 turns a 2-uniform
+    # word on 2 nodes into a 1001-uniform word on 2,000 nodes.
     graph_size = _int_within(1, 1000)
 
     gen = sub.add_parser("gen", help="emit a generated graph")
@@ -320,11 +208,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=graph_size, required=True)
     p = con_kind.add_parser("complete")
     p.add_argument("-n", type=graph_size, required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=graph_size, required=True)
     p = con_kind.add_parser("product-k2")
     p.add_argument("word", nargs="?", default="-", help="word file ('-' for stdin)")
     p = con_kind.add_parser("product-kn")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_within(2, 1000), required=True)
     p.add_argument("word", nargs="?", default="-", help="word file ('-' for stdin)")
     for p in con_kind.choices.values():
         p.add_argument("--verify", action="store_true", help="re-check the output against the expected graph")
@@ -343,10 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="include measured millis in the JSON output")
     repnum.add_argument("--use-automorphisms", "--use-reversal", action="store_true",
                         help="accepted for compatibility; no effect")
-
-    selftest = sub.add_parser("selftest", help="replay the randomized property checks")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument("--trials", type=_int_within(0), default=50)
 
     return parser
 

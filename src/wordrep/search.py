@@ -2,18 +2,17 @@
 
 The trusted-because-simple oracle: depth-first over word positions,
 branching over symbols in lexicographic order, on an explicit stack so
-that the depth is not bounded by Python's recursion limit.  With pruning
-on, an edge pair that stops alternating kills the branch immediately, and
-a non-edge pair that still alternates kills it as soon as one of its
-symbols is complete, since the other's last copy, if any, can only extend
-the alternation.  Pruning also fixes the first letter to the smallest
-node, since a cyclic shift of a uniform representant is again one.
-Every leaf reached then represents the graph, so the first one is the
-lexicographically smallest representant.  With pruning off the search
-enumerates every k-uniform word and tests each leaf, which is what the
-completeness tests compare against.  Every witness is re-checked with
-represents() before being returned, so no reduction can produce a false
-positive.
+that the depth is not bounded by Python's recursion limit.  An edge pair
+that stops alternating kills the branch immediately, and a non-edge pair
+that still alternates kills it as soon as one of its symbols is complete,
+since the other's last copy, if any, can only extend the alternation.
+The first letter is the smallest node, since a cyclic shift of a uniform
+representant is again one.  Every leaf reached then represents the
+graph, so the first one is the lexicographically smallest representant.
+Every witness is re-checked with represents() before being returned, so
+no cut can produce a false positive.  The tests compare the search with
+a permutation oracle and with a reference search written from the
+definition.
 
 The state is a few int bitmasks over the positions of the graph's sorted
 names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
@@ -53,8 +52,7 @@ class SearchOutcome:
     explored counts the letters placed: a placement is counted once it
     passes the edge cut and before the non-edge lookahead, so a placement
     that the lookahead kills still counts, and only the smallest node is
-    tried as the first letter.  With prune=False every placement is
-    counted.
+    tried as the first letter.
     """
 
     graph: Graph
@@ -88,20 +86,18 @@ def is_k_representable(
     k: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    prune: bool = True,
 ) -> SearchOutcome:
     """Search the k-uniform words over the nodes of g for a representant.
 
     The witness, when there is one, is the lexicographically smallest
-    k-uniform representant over the sorted node names.  Pruning cuts
+    k-uniform representant over the sorted node names.  The search cuts
     branches that cannot alternate correctly, and it fixes the first
     letter to the smallest node: any cyclic shift of a uniform
     representant is again one (Kitaev & Pyatkin 2008), so some
     representant starts with that node, and the smallest one does.
-    Neither cut changes an answer or a witness.  prune=False enumerates
-    every k-uniform word.  A query that needs more than budget word
-    positions is refused: its outcome is "resource-limit" with nothing
-    explored.
+    Neither cut changes an answer or a witness.  A query that needs more
+    than budget word positions is refused: its outcome is
+    "resource-limit" with nothing explored.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -135,14 +131,14 @@ def is_k_representable(
     explored = 0
     witness: Word | None = None
     started = time.perf_counter()
-    candidates = iter(range(1) if prune else ids)
+    candidates = iter(range(1))  # the first letter is the smallest node
     while True:
         for x in candidates:
             c = counts[x]
             if c == k:
                 continue
             new = 0
-            if prune and c:
+            if c:
                 # a neighbour not placed since the last x would repeat with it
                 if nbr[x] & ~since[x]:
                     continue
@@ -156,7 +152,7 @@ def is_k_representable(
             # still alternates with the complete x has k - 1 or k copies, and
             # a last u can only follow the last x: the pair would alternate
             # in every completion.
-            if prune and c + 1 == k and non[x] & ~brk[x]:
+            if c + 1 == k and non[x] & ~brk[x]:
                 counts[x] = c
                 if new:
                     flip(x, bit, new)
@@ -195,7 +191,6 @@ def representation_number(
     k_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    prune: bool = True,
 ) -> SearchOutcome:
     """Scan k = 1..k_max and return the outcome that settles the scan: the
     witness at the smallest k, the resource-limit outcome that stopped it,
@@ -203,7 +198,7 @@ def representation_number(
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     for k in range(1, k_max + 1):
-        outcome = is_k_representable(g, k, budget=budget, prune=prune)
+        outcome = is_k_representable(g, k, budget=budget)
         if outcome.result != "exhausted":
             break
     return outcome
