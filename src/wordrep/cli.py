@@ -230,7 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     repnum.add_argument("--timings", action="store_true",
                         help="include measured millis in the JSON output")
     repnum.add_argument("--use-automorphisms", "--use-reversal", action="store_true",
-                        help="accepted for compatibility; no effect")
+                        help="accepted for compatibility; no effect: the automorphism "
+                             "(lex-leader) cut is always on")
 
     return parser
 

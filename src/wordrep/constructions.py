@@ -103,16 +103,26 @@ def product_kn_word(w: Word, n: int) -> Word:
 
     Requires k-uniform input with k > 1 and n >= 2; copies named x@1..x@n.
     For n = 2 this represents the same graph as product_k2_word(w) but the
-    letter order differs, so compare graphs, not words.
+    letter order differs, so compare graphs, not words.  The output's
+    n * m * (k+n-1) letters, for m nodes, are counted before it is built,
+    and a count above MAX_WORD_LENGTH is refused.
     """
     if n < 2:
         raise ValueError(f"product needs n >= 2 copies, got {n}")
     k = _require_uniform_above_1(w)
+    length = n * len(w.counts) * (k + n - 1)
+    if length > MAX_WORD_LENGTH:
+        raise ValueError(
+            f"product word would have {length:,} letters, above the {MAX_WORD_LENGTH:,} "
+            f"of the {MAX_CUBE_DIMENSION}-cube word"
+        )
     fs = product_kn_functions(w.alphabet, k, n)
     return _concat([apply(f, w) for f in reversed(fs)])
 
 
 MAX_CUBE_DIMENSION = 20  # k * 2^k letters: time and memory about double per dimension
+# the longest word a construction builds: the 20-cube word's 20,971,520 letters
+MAX_WORD_LENGTH = MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION
 
 # 2-uniform seed for the 2-cube: the 4-cycle word 31421324 under the frozen
 # node bijection 1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01.

@@ -186,11 +186,11 @@ def _mismatch_rows(w: Word, g: Graph) -> Iterator[int]:
     return (row ^ (mask & ~upto[i]) for i, (row, mask) in enumerate(zip(rows, g.masks)))
 
 
-def _search_order(g: Graph) -> list[int]:
-    # Greedy over node positions: after the first node, prefer nodes with
+def _search_order(g: Graph, placed: int) -> list[int]:
+    # Greedy over the node positions outside placed: prefer nodes with
     # many already-placed neighbors so adjacency constraints bite early.
-    remaining = set(range(len(g.names)))
-    order, placed = [], 0
+    remaining = set(range(len(g.names))) - set(_bits(placed))
+    order = []
     while remaining:
         best = min(remaining, key=lambda i: (-(g.masks[i] & placed).bit_count(), i))
         order.append(best)
@@ -199,41 +199,80 @@ def _search_order(g: Graph) -> list[int]:
     return order
 
 
+def _maps(g: Graph, h: Graph, start: dict[int, int]) -> Iterator[dict[int, int]]:
+    """Every adjacency-preserving bijection from g's node positions onto
+    h's that extends ``start``, as a dict from position in g to position
+    in h; nothing when ``start`` itself breaks adjacency.
+
+    Backtracking on an explicit stack: the nodes of ``start`` are mapped
+    first, in its order and only to their given images, then the other
+    nodes of g in _search_order.  Node a may go to an unused b of a's
+    degree iff b's neighbours among the used images are exactly the images
+    of a's mapped neighbours: one mask compare, nbr[b] & used == want.  b
+    runs in h's position order, with the node of a's own name first, so
+    that the first map of a graph onto itself is the identity.
+    """
+    gm, hm = g.masks, h.masks
+    if len(gm) != len(hm):
+        return
+    of_degree: dict[int, int] = {}  # degree -> mask of h's nodes with it
+    for b, m in enumerate(hm):
+        of_degree[m.bit_count()] = of_degree.get(m.bit_count(), 0) | 1 << b
+    order = [*start, *_search_order(g, sum(1 << a for a in start))]
+    image: dict[int, int] = {}
+    done = used = 0  # masks of the mapped nodes of g and of their images
+
+    def options(a: int) -> Iterator[int]:
+        want = 0
+        for a2 in _bits(gm[a] & done):
+            want |= 1 << image[a2]
+        free = of_degree.get(gm[a].bit_count(), 0) & ~used
+        if a in start:
+            free &= 1 << start[a]
+        same = h.index.get(g.names[a], -1)
+        ordered = (same, *_bits(free ^ 1 << same)) if same >= 0 and free >> same & 1 else _bits(free)
+        return iter([b for b in ordered if hm[b] & used == want])
+
+    if not order:
+        yield {}
+        return
+    stack: list[Iterator[int]] = []
+    candidates = options(order[0])
+    while True:
+        for b in candidates:
+            a = order[len(stack)]
+            image[a] = b
+            done |= 1 << a
+            used |= 1 << b
+            stack.append(candidates)
+            break
+        else:
+            # no image left for this node: unmap the one before it
+            if not stack:
+                return
+            candidates = stack.pop()
+            a = order[len(stack)]
+            done ^= 1 << a
+            used ^= 1 << image.pop(a)
+            continue
+        if len(stack) < len(order):
+            candidates = options(order[len(stack)])
+            continue
+        yield dict(image)
+        candidates = iter(())  # a complete map has no extension: backtrack
+
+
 def isomorphic(g: Graph, h: Graph) -> dict[str, str] | None:
     """An adjacency-preserving node bijection, or None.
 
-    Brute force with degree pruning over the adjacency masks; meant for
-    the small graphs handled here (up to around 16 nodes).
+    The first map of :func:`_maps`, backtracking with degree pruning over
+    the adjacency masks; meant for the small graphs handled here (up to
+    around 16 nodes).  isomorphic(g, g) is the identity.
     """
-    g_deg = [m.bit_count() for m in g.masks]
-    h_deg = [m.bit_count() for m in h.masks]
-    if sorted(g_deg) != sorted(h_deg):
+    if sorted(m.bit_count() for m in g.masks) != sorted(m.bit_count() for m in h.masks):
         return None
-    image: dict[int, int] = {}  # position in g -> position in h
-    used: set[int] = set()
-    order = _search_order(g)
-
-    def extend(p: int) -> bool:
-        if p == len(order):
-            return True
-        a = order[p]
-        row = g.masks[a]
-        # Try the same name first so that isomorphic(G, G) yields identity.
-        same = h.index.get(g.names[a], -1)
-        for b in sorted(range(len(h_deg)), key=lambda b: (b != same, b)):
-            if b in used or h_deg[b] != g_deg[a] or any(
-                row >> a2 & 1 != h.masks[b] >> b2 & 1 for a2, b2 in image.items()
-            ):
-                continue
-            image[a] = b
-            used.add(b)
-            if extend(p + 1):
-                return True
-            del image[a]
-            used.remove(b)
-        return False
-
-    return {g.names[a]: h.names[b] for a, b in image.items()} if extend(0) else None
+    image = next(_maps(g, h, {}), None)
+    return None if image is None else {g.names[a]: h.names[b] for a, b in image.items()}
 
 
 def graph_to_edges_text(g: Graph) -> str:

@@ -7,25 +7,30 @@ that stops alternating kills the branch immediately, and a non-edge pair
 that still alternates kills it as soon as one of its symbols is complete,
 since the other's last copy, if any, can only extend the alternation.
 The first letter is the smallest node, since a cyclic shift of a uniform
-representant is again one.  Every leaf reached then represents the
-graph, so the first one is the lexicographically smallest representant.
-Every witness is re-checked with represents() before being returned, so
-no cut can produce a false positive.  The tests compare the search with
-a permutation oracle and with a reference search written from the
-definition.
+representant is again one.  A first copy of x is placed only if no
+automorphism that fixes every placed node maps x to a smaller node: it
+would map the smallest representant to a smaller one with the same
+prefix (the lex-leader cut of Crawford, Ginsberg, Luks & Roy, KR 1996).
+Every leaf reached then represents the graph, so the first one is the
+lexicographically smallest representant.  Every witness is re-checked
+with represents() before being returned, so no cut can produce a false
+positive.  The tests compare the search with a permutation oracle and
+with a reference search written from the definition.
 
 The state is a few int bitmasks over the positions of the graph's sorted
 names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
 once per query, holds x's non-neighbours; brk[x] the partners whose
 alternation with x is already broken (kept symmetric, and only the newly
 broken bits are set and undone); and since[x] the symbols placed after
-x's last copy.  since is a new list at
-each depth.  A further copy of x repeats with every symbol outside
-since[x]: a neighbour there cuts the branch, and the non-neighbours there
-become broken.  Each stack frame holds a placed letter x, the pairs it
-newly broke, the since list from before it and the iterator over the
-candidates at its position; popping a frame undoes the letter, and the
-search resumes with the candidate after x.
+x's last copy, which for a node not yet placed is the placed set.  since
+is a new list at each depth.  A further copy of x repeats with every
+symbol outside since[x]: a neighbour there cuts the branch, and the
+non-neighbours there become broken.  The lex-leader cut asks _Symmetry,
+built once per graph and shared by every k, and only when a smaller free
+node has x's degree.  Each stack frame holds a placed letter x, the
+pairs it newly broke, the since list from before it and the iterator
+over the candidates at its position; popping a frame undoes the letter,
+and the search resumes with the candidate after x.
 """
 from __future__ import annotations
 
@@ -33,8 +38,9 @@ import json
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .graphs import Graph, _graph_payload, represents
+from .graphs import Graph, _bits, _graph_payload, _maps, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -50,9 +56,9 @@ class SearchOutcome:
     and was refused without searching, so explored is 0).
 
     explored counts the letters placed: a placement is counted once it
-    passes the edge cut and before the non-edge lookahead, so a placement
-    that the lookahead kills still counts, and only the smallest node is
-    tried as the first letter.
+    passes the edge cut and the lex-leader cut and before the non-edge
+    lookahead, so a placement that the lookahead kills still counts, and
+    only the smallest node is tried as the first letter.
     """
 
     graph: Graph
@@ -81,6 +87,59 @@ def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
     return json.dumps(payload)
 
 
+class _Symmetry:
+    """The lex-leader cut's state for one graph, shared by every k.
+
+    twins[x] holds the nodes before x with x's degree, the only ones an
+    automorphism can map x to.  memo maps (placed, x) to whether some
+    automorphism that fixes every placed node maps x to a smaller node.
+    """
+
+    __slots__ = ("g", "twins", "memo")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        twins: list[int] = []
+        seen: dict[int, int] = {}  # degree -> mask of the nodes so far with it
+        for x, m in enumerate(g.masks):
+            d = m.bit_count()
+            twins.append(seen.get(d, 0))
+            seen[d] = twins[x] | 1 << x
+        self.twins = twins
+        self.memo: dict[tuple[int, int], bool] = {}
+
+    def cuts(self, x: int, placed: int) -> bool:
+        """Whether an automorphism fixing each node of ``placed`` maps the
+        free node x to a smaller one; memoised."""
+        key = (placed, x)
+        cut = self.memo.get(key)
+        if cut is None:
+            g = self.g
+            nbr = g.masks
+            cut = False
+            for y in _bits(self.twins[x] & ~placed):
+                diff = nbr[x] ^ nbr[y]
+                if diff & placed:
+                    continue  # one fixing placed would give y x's placed neighbours
+                # swapping x and y is one when they differ in nothing else
+                if diff & ~(1 << x | 1 << y):
+                    start = {p: p for p in _bits(placed)}
+                    start[x] = y
+                    if next(_maps(g, g, start), None) is None:
+                        continue
+                cut = True
+                break
+            self.memo[key] = cut
+        return cut
+
+
+@lru_cache(maxsize=1)
+def _symmetry(g: Graph) -> _Symmetry:
+    """The cut's state for the last graph searched, so that a scan over k
+    (``repnum``) builds it once."""
+    return _Symmetry(g)
+
+
 def is_k_representable(
     g: Graph,
     k: int,
@@ -94,10 +153,13 @@ def is_k_representable(
     branches that cannot alternate correctly, and it fixes the first
     letter to the smallest node: any cyclic shift of a uniform
     representant is again one (Kitaev & Pyatkin 2008), so some
-    representant starts with that node, and the smallest one does.
-    Neither cut changes an answer or a witness.  A query that needs more
-    than budget word positions is refused: its outcome is
-    "resource-limit" with nothing explored.
+    representant starts with that node, and the smallest one does.  It
+    places the first copy of a node only if no automorphism fixing the
+    placed nodes maps it to a smaller free node (Crawford et al. 1996),
+    which the smallest representant meets at every prefix.  No cut
+    changes an answer or a witness.  A query that needs more than budget
+    word positions is refused: its outcome is "resource-limit" with
+    nothing explored.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -111,6 +173,8 @@ def is_k_representable(
     n = len(names)
     full = (1 << n) - 1
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
+    sym = _symmetry(g)
+    twins, cuts = sym.twins, sym.cuts
 
     counts = [0] * n
     brk = [0] * n
@@ -143,6 +207,9 @@ def is_k_representable(
                 if nbr[x] & ~since[x]:
                     continue
                 new = non[x] & ~(since[x] | brk[x])
+            # a first copy: since[x] is the placed set
+            elif twins[x] & ~since[x] and cuts(x, since[x]):
+                continue
             bit = 1 << x
             if new:
                 flip(x, bit, new)

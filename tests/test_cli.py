@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from wordrep import Graph, Word, cube, cube_word, graph_from_edges_text, graph_of_word, represents
+from wordrep import Graph, Word, constructions, cube, cube_word, graph_from_edges_text, graph_of_word, represents
 from wordrep.cli import _build_parser, _explain_mismatch, main
 
 
@@ -145,6 +145,22 @@ def test_construct_product_kn_round_trip(capsys, monkeypatch, tmp_path):
     graph_file = tmp_path / "g.edges"
     graph_file.write_text(run(capsys, ["gen", "product", str(k2), str(k3)])[1])
     assert run(capsys, ["check", str(word_file), str(graph_file)])[0] == 0
+
+
+def test_construct_product_kn_refuses_an_output_above_the_20_cube_word(capsys, monkeypatch):
+    # the output is counted before it is built: n * m * (k+n-1) letters, at
+    # most the 20-cube word's; the bound is lowered here so that a missing
+    # check builds 24 letters rather than, say, the 200,200,000 of a
+    # 2-uniform word on 200 nodes with -n 1000
+    assert constructions.MAX_WORD_LENGTH == 20 * 2 ** 20 == 20_971_520
+    argv = ["construct", "product-kn", "-n", "3"]  # 3 * 2 * (2+3-1) = 24 letters
+    monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 23)
+    code, out, err = run(capsys, argv, stdin="a b a b", monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == "error: product word would have 24 letters, above the 23 of the 20-cube word\n"
+    monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 24)
+    code, out, _ = run(capsys, argv, stdin="a b a b", monkeypatch=monkeypatch)
+    assert code == 0 and len(out.split()) == 24
 
 
 def test_construct_check_round_trips(capsys, tmp_path):

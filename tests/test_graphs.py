@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,6 +24,7 @@ from wordrep import (
     parse_graph,
     represents,
 )
+from wordrep.graphs import _maps
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -265,6 +266,29 @@ def test_isomorphic_identity_and_absence():
     assert isomorphic(complete(3), cycle(4)) is None
     assert isomorphic(cycle(4), complete(4)) is None  # same sizes, different edge counts
     assert isomorphic(cycle(6), cartesian_product(complete(3), complete(2))) is None
+
+
+def test_maps_agree_with_a_permutation_oracle():
+    # on every labelled graph of at most 5 nodes: the maps of g onto itself
+    # are exactly the permutations that preserve adjacency, and one that
+    # fixes a set and sends x to y exists iff _maps extends that partial map
+    for size in range(1, 6):
+        names = [str(i) for i in range(1, size + 1)]
+        pairs = list(combinations(names, 2))
+        for edges in range(2 ** len(pairs)):
+            g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
+            nbr = [{j for j in range(size) if m >> j & 1} for m in g.masks]
+            auts = {p for p in permutations(range(size))
+                    if all({p[j] for j in nbr[a]} == nbr[p[a]] for a in range(size))}
+            assert {tuple(m[a] for a in range(size)) for m in _maps(g, g, {})} == auts
+            for fixed in range(2 ** size):
+                stay = {a: a for a in range(size) if fixed >> a & 1}
+                # the inverse sends y back to x, so the pairs y < x cover every pair
+                for y, x in combinations([a for a in range(size) if a not in stay], 2):
+                    found = next(_maps(g, g, {**stay, x: y}), None)
+                    expected = any(p[x] == y and all(p[a] == a for a in stay) for p in auts)
+                    assert (found is not None) == expected, (sorted(g.edges), sorted(stay), x, y)
+                    assert found is None or (found[x] == y and tuple(found[a] for a in range(size)) in auts)
 
 
 def test_isomorphic_mapping_preserves_adjacency():

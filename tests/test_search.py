@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -19,6 +20,7 @@ from wordrep import (
     represents,
     uniformity,
 )
+from wordrep.search import _symmetry
 
 
 def naive_k_representable(g, k):
@@ -98,6 +100,9 @@ def test_deep_query_runs_past_the_recursion_limit():
     g = complete(700)
     o = is_k_representable(g, 2, budget=2000)
     assert o.found and uniformity(o.word) == 2 and represents(o.word, g)
+    # each first copy placed is the smallest free node, so the symmetry cut
+    # never runs an automorphism search
+    assert _symmetry(g).memo == {}
 
 
 def test_input_validation():
@@ -119,9 +124,9 @@ def test_search_agrees_with_naive_oracle():
 @pytest.mark.parametrize(
     "make, explored",
     [
-        (lambda: cartesian_product(complete(3), complete(2)), 684),
-        (lambda: cartesian_product(complete(4), complete(2)), 27_200),
-        (lambda: cube(3), 33_794),
+        (lambda: cartesian_product(complete(3), complete(2)), 343),
+        (lambda: cartesian_product(complete(4), complete(2)), 4_542),
+        (lambda: cube(3), 5_641),
     ],
     ids=["K3xK2", "K4xK2", "Q3"],
 )
@@ -133,13 +138,27 @@ def test_pinned_k2_exhaustion_counts(make, explored):
     assert (o.result, o.explored) == ("exhausted", explored)
 
 
+def test_complete_graph_minus_its_last_edge_exhausts_at_once():
+    # K_24 minus the edge between its two largest names ("8" and "9" in
+    # name order), 24 positions at k = 1: each prefix is a run of the
+    # 22 interchangeable nodes, so the symmetry cut tries only the first
+    # free one of them, and of "8" and "9" only "8", which the lookahead
+    # kills; without the cut the search walks the orders of the 22
+    names = complete(24).names
+    g = Graph(names, [e for e in complete(24).edges if e != ("8", "9")])
+    started = time.perf_counter()
+    o = is_k_representable(g, 1)
+    assert (o.result, o.explored) == ("exhausted", 44)
+    assert time.perf_counter() - started < 1
+
+
 def test_pinned_wheel_counts():
     # W5, hub 6 on the 5-cycle 1..5: the only 6-node graph with no representant
     rim = [str(i) for i in range(1, 6)]
     g = Graph([*rim, "6"], [(v, "6") for v in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)])
     outcomes = [is_k_representable(g, k) for k in (1, 2, 3)]
     assert {o.result for o in outcomes} == {"exhausted"}
-    assert [o.explored for o in outcomes] == [1, 676, 6_682]
+    assert [o.explored for o in outcomes] == [1, 339, 3_342]
 
 
 def test_pinned_small_graph_totals():
@@ -148,7 +167,7 @@ def test_pinned_small_graph_totals():
     # here even when every single answer stays the same
     graphs = [g for size in range(1, 6) for g in all_graphs(size)]
     total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2))
-    assert (len(graphs), total) == (1_099, 22_225)
+    assert (len(graphs), total) == (1_099, 21_672)
 
 
 def test_witness_extends_to_higher_uniformity():
