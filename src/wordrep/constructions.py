@@ -4,14 +4,14 @@ hypercube words, and 2-uniform cycle words.
 The product constructions rewrite a k-uniform word occurrence-wise so the
 result represents the Cartesian product of the original graph with a
 complete graph, using "x@j" for copy j of node x.  Stacking the two-copy
-construction along a frozen bitstring relabelling yields a k-uniform
-representant of the k-dimensional cube.
+construction, with copies named x0 and x1 from the start, yields a
+k-uniform representant of the k-dimensional cube over bitstring names.
 """
 from __future__ import annotations
 
 from functools import cache
 
-from .graphs import cycle, represents
+from .graphs import MAX_CUBE_DIMENSION, cycle, represents
 from .obf import OccurrenceBasedFunction, apply
 from .words import Word, _concat, uniformity
 
@@ -41,19 +41,22 @@ def product_k2_functions(
     First function: (x,1) -> x@1 and (x,i) -> x@2 x@1 for i > 1.
     Second function: (x,1) -> x@2, (x,2) -> x@1 x@2, empty for i > 2.
     """
-    def first(x: str, i: int) -> tuple[str, ...]:
-        return (f"{x}@1",) if i == 1 else (f"{x}@2", f"{x}@1")
+    return _two_copy_functions(alphabet, k, "@1", "@2")
 
-    def second(x: str, i: int) -> tuple[str, ...]:
-        if i == 1:
-            return (f"{x}@2",)
-        if i == 2:
-            return (f"{x}@1", f"{x}@2")
-        return ()
 
+def _two_copy_functions(
+    alphabet: frozenset[str] | set[str], k: int, one: str, two: str
+) -> tuple[OccurrenceBasedFunction, OccurrenceBasedFunction]:
+    """product_k2_functions with copies x + one and x + two of symbol x;
+    each symbol's images are built once, so its copy names are too."""
+    first, second = {}, {}
+    for x in alphabet:
+        x1, x2 = x + one, x + two
+        first[x] = ((x1,), (x2, x1))
+        second[x] = ((x2,), (x1, x2))
     return (
-        OccurrenceBasedFunction.from_rule(alphabet, k, first),
-        OccurrenceBasedFunction.from_rule(alphabet, k, second),
+        OccurrenceBasedFunction.from_rule(alphabet, k, lambda x, i: first[x][i > 1]),
+        OccurrenceBasedFunction.from_rule(alphabet, k, lambda x, i: second[x][i - 1] if i < 3 else ()),
     )
 
 
@@ -77,18 +80,17 @@ def product_kn_functions(
     f_j for j >= 2: (x,1) -> x@j, (x,2) -> x@(j-1) ... x@1 x@n ... x@j,
     empty for i > 2.
     """
-    def copies(x: str, top: int, bottom: int) -> tuple[str, ...]:
-        return tuple(f"{x}@{j}" for j in range(top, bottom - 1, -1))
+    down = {x: tuple(f"{x}@{j}" for j in range(n, 0, -1)) for x in alphabet}  # x@n ... x@1
 
     def f1(x: str, i: int) -> tuple[str, ...]:
-        return (f"{x}@1",) if i == 1 else copies(x, n, 1)
+        return down[x][-1:] if i == 1 else down[x]
 
     def fj(j: int):
         def rule(x: str, i: int) -> tuple[str, ...]:
             if i == 1:
-                return (f"{x}@{j}",)
+                return down[x][n - j:n - j + 1]
             if i == 2:
-                return copies(x, j - 1, 1) + copies(x, n, j)
+                return down[x][n - j + 1:] + down[x][:n - j + 1]
             return ()
         return rule
 
@@ -120,7 +122,6 @@ def product_kn_word(w: Word, n: int) -> Word:
     return _concat([apply(f, w) for f in reversed(fs)])
 
 
-MAX_CUBE_DIMENSION = 20  # k * 2^k letters: time and memory about double per dimension
 # the longest word a construction builds: the 20-cube word's 20,971,520 letters
 MAX_WORD_LENGTH = MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION
 
@@ -134,7 +135,7 @@ def cube_word(k: int) -> Word:
     """A k-uniform word over the 2^k bitstring names representing the k-cube.
 
     Built by stacking the two-copy product on the dimension-2 seed word,
-    relabelling x@1 -> x0 and x@2 -> x1 at each step.
+    with copies x0 and x1 of each name x in place of x@1 and x@2.
     """
     if not 1 <= k <= MAX_CUBE_DIMENSION:
         raise ValueError(f"cube word needs 1 <= k <= {MAX_CUBE_DIMENSION}, got {k}")
@@ -143,16 +144,8 @@ def cube_word(k: int) -> Word:
     if k == 2:
         return Word(_CUBE2_WORD)
     prev = cube_word(k - 1)
-    produced = product_k2_word(prev)
-    rename = {}
-    for b in prev.alphabet:
-        rename[f"{b}@1"] = b + "0"
-        rename[f"{b}@2"] = b + "1"
-    # bitstrings extended by one bit are valid names, so nothing is re-checked
-    return Word._trusted(
-        tuple(map(rename.__getitem__, produced.letters)),
-        {rename[x]: n for x, n in produced.counts.items()},
-    )
+    f, g = _two_copy_functions(prev.alphabet, k - 1, "0", "1")
+    return apply(f, prev) + apply(g, prev)
 
 
 def complete_word(n: int, k: int) -> Word:

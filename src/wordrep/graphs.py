@@ -15,7 +15,7 @@ from itertools import accumulate, chain, combinations, product
 from operator import or_
 from collections.abc import Iterable, Iterator
 
-from .words import Word, check_symbol
+from .words import Word, _check_tokens
 
 
 class NamingConflictError(ValueError):
@@ -33,8 +33,9 @@ class Graph:
     __slots__ = ("nodes", "names", "index", "masks", "_edges")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        # names are checked before they are sorted, which raises TypeError on a non-str
-        self.nodes = frozenset(map(check_symbol, nodes))
+        nodes = list(nodes)
+        _check_tokens(nodes)  # before sorting, which raises TypeError on a non-str
+        self.nodes = frozenset(nodes)
         self.names = tuple(sorted(self.nodes))
         self.index = index = {v: i for i, v in enumerate(self.names)}
         masks = [0] * len(index)
@@ -77,7 +78,11 @@ class Graph:
         return hash((self.names, self.masks))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.names)} nodes, {sum(m.bit_count() for m in self.masks) // 2} edges)"
+        return f"Graph({len(self.names)} nodes, {_edge_count(self)} edges)"
+
+
+def _edge_count(g: Graph) -> int:
+    return sum(m.bit_count() for m in g.masks) // 2
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -110,12 +115,24 @@ def cube(k: int) -> Graph:
     if k < 1:
         raise ValueError(f"cube needs k >= 1, got {k}")
     names = ["".join(bits) for bits in product("01", repeat=k)]
-    edges = [(v, v[:i] + "1" + v[i + 1:]) for v in names for i in range(k) if v[i] == "0"]
+    # names[v] spells v in binary; setting bit b of v sets one letter to 1
+    edges = [(names[v], names[v | 1 << b]) for b in range(k) for v in range(1 << k) if not v >> b & 1]
     return Graph(names, edges)
 
 
+MAX_CUBE_DIMENSION = 20  # k * 2^k word letters: time and memory about double per dimension
+# the largest product graph built: the 20-cube's 2^20 nodes and 20 * 2^19 edges
+MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << MAX_CUBE_DIMENSION, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product on nodes "a@b": edges move along one factor at a time."""
+    """Cartesian product on nodes "a@b": edges move along one factor at a time.
+    Its size is counted first, and one above the 20-cube's is refused."""
+    m, n = len(g.names), len(h.names)
+    nodes, edges = m * n, m * _edge_count(h) + _edge_count(g) * n
+    if nodes > MAX_PRODUCT_NODES or edges > MAX_PRODUCT_EDGES:
+        raise ValueError(f"product graph would have {nodes:,} nodes and {edges:,} edges, above the "
+                         f"{MAX_PRODUCT_NODES:,} nodes or {MAX_PRODUCT_EDGES:,} edges of the {MAX_CUBE_DIMENSION}-cube")
     names = {(a, b): f"{a}@{b}" for a in g.names for b in h.names}
     if len(set(names.values())) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")

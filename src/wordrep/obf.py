@@ -12,14 +12,15 @@ given by an explicit table (the constructor, :func:`obf_from_text`) looks
 the table up, and the table is validated when built.  A function given by
 a rule (:meth:`OccurrenceBasedFunction.from_rule`, used by projections
 and the products) builds and validates its table only when something
-reads it.  Either way the word that :func:`apply` returns validates each
-distinct token once, and concatenating such words checks nothing again.
+reads it.  A table is validated in one batch, the word that :func:`apply`
+returns once per distinct token, and a concatenation of such words never.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
-from .words import Word, _concat, uniformity
+from .words import Word, _check_tokens, _concat, uniformity
 
 
 class ChainConditionError(ValueError):
@@ -124,7 +125,7 @@ def _tabulate(
     if len(table) > len(tab):
         extra = next(key for key in table if key not in tab)
         raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
-    Word(tok for toks in (dom, *tab.values()) for tok in toks)  # validates each distinct token once
+    _check_tokens(chain(dom, *tab.values()))
     return tab
 
 

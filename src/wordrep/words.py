@@ -11,12 +11,17 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set
-from itertools import chain
+from itertools import chain, islice
 
 # Atomic symbol names use word characters only.  '@' is reserved as the
 # separator that product constructions use to build copy names such as
 # "x@2", so it may appear in a token only between atomic parts.
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+(?:@[A-Za-z0-9_]+)*\Z")
+_ATOM = "[A-Za-z0-9_]+"
+_TOKEN_RE = re.compile(rf"{_ATOM}(?:@{_ATOM})*\Z")
+# Tokens joined by single spaces: the same grammar with ' ' allowed where
+# '@' is.  A line with as many spaces as joins holds only valid tokens.
+_LINE_RE = re.compile(rf"{_ATOM}(?:[@ ]{_ATOM})*")
+_LINE_TOKENS = 4096  # the regex engine keeps state per repeat, so a line is bounded
 
 
 def check_symbol(token: str) -> str:
@@ -26,16 +31,32 @@ def check_symbol(token: str) -> str:
     return token
 
 
+def _check_tokens(tokens: Iterable[str]) -> None:
+    """Raise check_symbol's ValueError for the first invalid token, if any.
+    Each line of up to _LINE_TOKENS tokens is matched in one regex pass, and
+    only a line that fails is checked token by token."""
+    it = iter(tokens)
+    while line := list(islice(it, _LINE_TOKENS)):
+        try:
+            text = " ".join(line)
+        except TypeError:  # a token that is no str
+            text = ""
+        if _LINE_RE.fullmatch(text) is None or text.count(" ") != len(line) - 1:
+            for tok in line:
+                check_symbol(tok)
+
+
 class Word:
     """An immutable word over symbol tokens.
 
     Accepts an iterable of tokens or a single whitespace-separated string,
     which is also the serialized form: ``Word("3 1 4 2")`` equals
     ``Word(["3", "1", "4", "2"])``.  Multi-character symbols are therefore
-    unambiguous.  The empty word is allowed.  Each distinct token is
-    validated once.  ``counts`` lists the symbols in first-occurrence order.
+    unambiguous.  The empty word is allowed.  The distinct tokens are
+    validated in one regex pass (per 4,096), and the error names the first
+    bad one.  ``counts`` lists the symbols in first-occurrence order.
     Words assembled from valid words (``+``, the constructions'
-    concatenations and renamings) are not validated again.
+    concatenations) are not validated again.
     """
 
     __slots__ = ("letters", "counts", "_hash")
@@ -47,11 +68,9 @@ class Word:
         try:
             counts = Counter(seq)
         except TypeError:
-            for tok in seq:
-                check_symbol(tok)  # rejects the unhashable token: it is no str
+            _check_tokens(seq)  # rejects the unhashable token: it is no str
             raise ValueError("invalid symbol token: unhashable value") from None
-        for tok in counts:
-            check_symbol(tok)
+        _check_tokens(counts)
         self.letters: tuple[str, ...] = seq
         self.counts: dict[str, int] = dict(counts)
         self._hash = hash(seq)

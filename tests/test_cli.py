@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from wordrep import Graph, Word, constructions, cube, cube_word, graph_from_edges_text, graph_of_word, represents
+from wordrep import Graph, Word, constructions, cube, cube_word, graph_from_edges_text, graph_of_word, graphs, represents
 from wordrep.cli import _build_parser, _explain_mismatch, main
 
 
@@ -90,6 +90,28 @@ def test_gen_product(capsys, tmp_path):
     g = graph_from_edges_text(out)
     assert len(g.nodes) == 6 and len(g.edges) == 9
     assert "1@1" in g.nodes
+
+
+def test_gen_product_refuses_an_output_above_the_20_cube(capsys, monkeypatch, tmp_path):
+    # the product is counted before it is built: |V(G)||V(H)| nodes and
+    # |V(G)||E(H)| + |E(G)||V(H)| edges, at most the 20-cube's; the bounds
+    # are lowered here so that a missing check builds 12 edges rather than,
+    # say, the 26,910,000 of K300 times K300
+    assert (graphs.MAX_PRODUCT_NODES, graphs.MAX_PRODUCT_EDGES) == (2 ** 20, 20 * 2 ** 19) == (1_048_576, 10_485_760)
+    path = tmp_path / "p3.edges"
+    path.write_text("1 2\n2 3\n")  # the path on 3 nodes, with 2 edges
+    argv = ["gen", "product", str(path), str(path)]  # 9 nodes, 3 * 2 + 2 * 3 = 12 edges
+    for nodes, edges in [(8, 12), (9, 11)]:
+        monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", nodes)
+        monkeypatch.setattr(graphs, "MAX_PRODUCT_EDGES", edges)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: product graph would have 9 nodes and 12 edges, above the {nodes} nodes "
+                       f"or {edges} edges of the 20-cube\n")
+    monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", 9)
+    monkeypatch.setattr(graphs, "MAX_PRODUCT_EDGES", 12)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 12
 
 
 def test_construct_cube_and_verify(capsys):

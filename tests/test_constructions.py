@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from wordrep import constructions, graphs, words
+from wordrep import constructions, graphs, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
     Word,
@@ -240,21 +240,25 @@ def test_prism_and_product_kn_words_are_pinned():
 
 
 def test_cube_word_validates_each_new_token_about_once(monkeypatch):
-    # step k checks its 2^k new names as the images of both functions, and
-    # the domains (the previous word's valid names) are not checked again:
-    # 2 * (2^13 - 8) + 4 seed names = 16,372 calls for k = 12
-    calls = [0]
-    original = words.check_symbol
+    # step k hands its 2^k new names to the validator as the images of
+    # both functions, and the domains (the previous word's valid names)
+    # are not validated again: 2 * (2^13 - 8) + 4 seed names = 16,372
+    # tokens for k = 12.  Tokens are counted, not check_symbol calls: the
+    # validator checks a batch in one pass and calls check_symbol only
+    # for a batch that fails.
+    tokens = [0]
+    original = words._check_tokens
 
-    def counted(token):
-        calls[0] += 1
-        return original(token)
+    def counted(batch):
+        batch = list(batch)
+        tokens[0] += len(batch)
+        return original(batch)
 
-    for module in (words, graphs):
-        monkeypatch.setattr(module, "check_symbol", counted)
+    for module in (words, graphs, obf):
+        monkeypatch.setattr(module, "_check_tokens", counted)
     cube_word.cache_clear()
     try:
         cube_word(12)
     finally:
         cube_word.cache_clear()
-    assert calls[0] <= 16_500
+    assert 16_372 <= tokens[0] <= 16_500

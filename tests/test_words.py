@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wordrep import Word, alternates, check_symbol, label, parse_words, restrict, uniformity
+from wordrep import Graph, Word, alternates, check_symbol, label, parse_words, restrict, uniformity, words
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -47,6 +47,70 @@ def test_word_rejects_bad_tokens():
         Word(["a", ["b"]])  # unhashable
     with pytest.raises(ValueError):
         Word("a b a b é")
+
+
+def _first_invalid(tokens):
+    """The error of the first token that check_symbol rejects, one call per
+    token, or None."""
+    for tok in tokens:
+        try:
+            check_symbol(tok)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _random_token(rng):
+    """A valid name, often with one character put in: whitespace, '@' at
+    an end or next to another, a non-ASCII letter, or a hyphen."""
+    tok = "".join(rng.choices("ab_019@", k=rng.randint(1, 6))).strip("@").replace("@@", "@") or "x"
+    if rng.random() < 0.3:
+        at = rng.choice([0, rng.randint(0, len(tok)), len(tok)])
+        tok = tok[:at] + rng.choice([" ", "\t", "\n", "@", "é", "\u00a0", "-"]) + tok[at:]
+    return tok
+
+
+def test_batch_validation_agrees_with_check_symbol():
+    # a batch passes iff every token passes check_symbol, and otherwise
+    # raises check_symbol's error for its first bad token; 4,100 tokens
+    # span two lines of the one-pass match
+    rng = random.Random(15)
+    for trial in range(1500):
+        batch = [_random_token(rng) for _ in range(rng.choice([0, 1, 2, 3, 8, 40]))]
+        if trial % 100 == 0:
+            batch = [_random_token(rng) if rng.random() < 0.0005 else "v1" for _ in range(4100)]
+        if rng.random() < 0.05:
+            batch.insert(rng.randint(0, len(batch)), rng.choice([7, None, b"ab", ("a",), ["b"]]))
+        bad = _first_invalid(batch)
+        if bad is None:
+            words._check_tokens(batch)
+            continue
+        with pytest.raises(ValueError) as exc:
+            words._check_tokens(iter(batch))
+        assert str(exc.value) == bad
+    words._check_tokens([])
+    for joined in (["a b"], ["a", "b c", "d"], ["a\tb"], ["a\nb"]):
+        with pytest.raises(ValueError):  # one token holding a space is not two tokens
+            words._check_tokens(joined)
+
+
+def test_word_and_graph_name_the_first_bad_token():
+    rng = random.Random(16)
+    for _ in range(300):
+        batch = [_random_token(rng) for _ in range(rng.randint(1, 12))]
+        bad = _first_invalid(batch)
+        for build in (Word, Graph):
+            if bad is None:
+                build(batch)
+                continue
+            with pytest.raises(ValueError) as exc:
+                build(batch)
+            assert str(exc.value) == bad
+    for build in (Word, Graph):
+        with pytest.raises(ValueError, match="invalid symbol token: 7"):
+            build([7, "a"])
+        with pytest.raises(ValueError, match="invalid symbol token: 'b@'"):
+            build(["a", "b@", 7])
 
 
 def test_restrict_examples():
