@@ -9,11 +9,13 @@ k-uniform representant of the k-dimensional cube over bitstring names.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cache
+from itertools import chain, repeat
 
 from .graphs import MAX_CUBE_DIMENSION, cycle, represents
 from .obf import OccurrenceBasedFunction, apply
-from .words import Word, _concat, uniformity
+from .words import Word, _check_tokens, _concat, uniformity
 
 
 class ConstructionError(RuntimeError):
@@ -32,72 +34,48 @@ def _require_uniform_above_1(w: Word) -> int:
     return k
 
 
-def product_k2_functions(
-    alphabet: frozenset[str] | set[str], k: int
-) -> tuple[OccurrenceBasedFunction, OccurrenceBasedFunction]:
-    """The two occurrence-based functions whose images concatenate to the
-    two-copy product word.
-
-    First function: (x,1) -> x@1 and (x,i) -> x@2 x@1 for i > 1.
-    Second function: (x,1) -> x@2, (x,2) -> x@1 x@2, empty for i > 2.
+def _copy_functions(
+    alphabet: Iterable[str], k: int, suffixes: Sequence[str]
+) -> list[OccurrenceBasedFunction]:
+    """product_kn_functions with copy j of symbol x, x_j, named
+    x + suffixes[j - 1].  Each symbol's copy names are built once and
+    validated once, and the domain is not validated apart from them: x@j
+    is a valid name iff x is, and the cube's names extend a valid word's.
     """
-    return _two_copy_functions(alphabet, k, "@1", "@2")
-
-
-def _two_copy_functions(
-    alphabet: frozenset[str] | set[str], k: int, one: str, two: str
-) -> tuple[OccurrenceBasedFunction, OccurrenceBasedFunction]:
-    """product_k2_functions with copies x + one and x + two of symbol x;
-    each symbol's images are built once, so its copy names are too."""
-    first, second = {}, {}
-    for x in alphabet:
-        x1, x2 = x + one, x + two
-        first[x] = ((x1,), (x2, x1))
-        second[x] = ((x2,), (x1, x2))
-    return (
-        OccurrenceBasedFunction.from_rule(alphabet, k, lambda x, i: first[x][i > 1]),
-        OccurrenceBasedFunction.from_rule(alphabet, k, lambda x, i: second[x][i - 1] if i < 3 else ()),
-    )
+    xs = list(alphabet)
+    copies = [[x + s for x in xs] for s in suffixes]  # copies[j - 1][m]: x_j of x = xs[m]
+    _check_tokens(chain.from_iterable(copies))
+    # zip builds each symbol's tuples, image by image and row by row
+    down = list(zip(*reversed(copies)))  # x_n ... x_1
+    rows = [zip(zip(copies[0]), *[down] * (k - 1))]  # f_1: x_1, then x_n ... x_1 for i > 1
+    for j in range(2, len(copies) + 1):  # f_j: x_j, x_(j-1) ... x_1 x_n ... x_j, then empty
+        turn = zip(*copies[j - 2::-1], *copies[:j - 2:-1])
+        rows.append(zip(*[zip(copies[j - 1]), turn, *[repeat(())] * (k - 2)][:k]))
+    return [OccurrenceBasedFunction._trusted(k, dict(zip(xs, row))) for row in rows]
 
 
 def product_k2_word(w: Word) -> Word:
     """A (k+1)-uniform word representing graph_of_word(w) times K2.
 
     Requires k-uniform input with k > 1; node copies are named x@1, x@2.
+    It is the n = 2 product word with its two images in the other order.
     """
     k = _require_uniform_above_1(w)
-    f, g = product_k2_functions(w.alphabet, k)
+    f, g = product_kn_functions(w.alphabet, k, 2)
     return apply(f, w) + apply(g, w)
 
 
-def product_kn_functions(
-    alphabet: frozenset[str] | set[str], k: int, n: int
-) -> list[OccurrenceBasedFunction]:
+def product_kn_functions(alphabet: Iterable[str], k: int, n: int) -> list[OccurrenceBasedFunction]:
     """The n occurrence-based functions of the n-copy product, listed as
     [f_1, ..., f_n]; the product word applies them in descending order.
 
     f_1: (x,1) -> x@1 and (x,i) -> x@n ... x@1 for i > 1.
     f_j for j >= 2: (x,1) -> x@j, (x,2) -> x@(j-1) ... x@1 x@n ... x@j,
-    empty for i > 2.
+    empty for i > 2.  Each row holds exactly k images, k = 1 included.
     """
-    down = {x: tuple(f"{x}@{j}" for j in range(n, 0, -1)) for x in alphabet}  # x@n ... x@1
-
-    def f1(x: str, i: int) -> tuple[str, ...]:
-        return down[x][-1:] if i == 1 else down[x]
-
-    def fj(j: int):
-        def rule(x: str, i: int) -> tuple[str, ...]:
-            if i == 1:
-                return down[x][n - j:n - j + 1]
-            if i == 2:
-                return down[x][n - j + 1:] + down[x][:n - j + 1]
-            return ()
-        return rule
-
-    fs = [OccurrenceBasedFunction.from_rule(alphabet, k, f1)]
-    for j in range(2, n + 1):
-        fs.append(OccurrenceBasedFunction.from_rule(alphabet, k, fj(j)))
-    return fs
+    if n < 1:
+        raise ValueError(f"product needs n >= 1 copies, got {n}")
+    return _copy_functions(alphabet, k, [f"@{j}" for j in range(1, n + 1)])
 
 
 def product_kn_word(w: Word, n: int) -> Word:
@@ -118,8 +96,7 @@ def product_kn_word(w: Word, n: int) -> Word:
             f"product word would have {length:,} letters, above the {MAX_WORD_LENGTH:,} "
             f"of the {MAX_CUBE_DIMENSION}-cube word"
         )
-    fs = product_kn_functions(w.alphabet, k, n)
-    return _concat([apply(f, w) for f in reversed(fs)])
+    return _concat([apply(f, w) for f in reversed(product_kn_functions(w.alphabet, k, n))])
 
 
 # the longest word a construction builds: the 20-cube word's 20,971,520 letters
@@ -144,7 +121,7 @@ def cube_word(k: int) -> Word:
     if k == 2:
         return Word(_CUBE2_WORD)
     prev = cube_word(k - 1)
-    f, g = _two_copy_functions(prev.alphabet, k - 1, "0", "1")
+    f, g = _copy_functions(prev.alphabet, k - 1, ("0", "1"))
     return apply(f, prev) + apply(g, prev)
 
 

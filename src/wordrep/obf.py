@@ -7,16 +7,14 @@ occurrences; concatenating projections whose index sets chain together
 preserves the represented graph, which is the engine behind the product
 constructions.
 
-Every function is applied through its rule (x, i) -> image.  A function
-given by an explicit table (the constructor, :func:`obf_from_text`) looks
-the table up, and the table is validated when built.  A function given by
-a rule (:meth:`OccurrenceBasedFunction.from_rule`, used by projections
-and the products) builds and validates its table only when something
-reads it.  A table is validated in one batch, the word that :func:`apply`
-returns once per distinct token, and a concatenation of such words never.
+A function is one row of images per symbol, h(x, 1), ..., h(x, bound),
+built and validated when the function is constructed; :func:`apply` only
+looks the images up, so the word it returns is not validated again, and
+neither is a concatenation of such words.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 
@@ -41,120 +39,114 @@ class ChainConditionError(ValueError):
 class OccurrenceBasedFunction:
     """A total map (symbol in domain, index in 1..bound) -> replacement word.
 
-    The bound is stored explicitly so that applying the function to a word
-    with too many occurrences of a symbol is an error rather than a silent
-    truncation.
+    Stored as ``images[x] = (h(x, 1), ..., h(x, bound))``, each image a
+    tuple of tokens.  The bound is stored explicitly so that applying the
+    function to a word with too many occurrences of a symbol is an error
+    rather than a silent truncation.
 
-    A table must cover exactly domain x 1..bound and hold valid domain
-    symbols and image tokens.  An explicit table is checked when built.  A
-    function built by :meth:`from_rule` keeps the rule, which :func:`apply`
-    calls per (symbol, index), so a bad image token raises when a word
-    reaches it; the table is built and checked in full when first read
-    (``table``, ``image``, ``==``, ``hash``, :func:`obf_to_text`), and only
-    then does a bad domain symbol raise, since no valid word contains it.
+    The table must cover exactly domain x 1..bound; an image is a
+    sequence of tokens, a :class:`Word` or a whitespace-separated string,
+    read as ``Word`` reads it.  Domain symbols and image tokens are
+    validated here, in one batch.
     """
 
-    __slots__ = ("domain", "bound", "_rule", "_table")
+    __slots__ = ("bound", "images")
 
     def __init__(
         self,
         domain: Iterable[str],
         bound: int,
-        table: Mapping[tuple[str, int], Sequence[str] | Word],
+        table: Mapping[tuple[str, int], Sequence[str] | Word | str],
     ):
-        self.domain = _check_domain(domain, bound)
+        _check_bound(bound)
+        images: dict[str, tuple[tuple[str, ...], ...]] = {}
+        for x in frozenset(domain):
+            row = []
+            for i in range(1, bound + 1):
+                if (x, i) not in table:
+                    raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
+                image = table[(x, i)]
+                row.append(
+                    image.letters if isinstance(image, Word)
+                    else tuple(image.split() if isinstance(image, str) else image)
+                )
+            images[x] = tuple(row)
+        if len(table) > len(images) * bound:
+            keys = {(x, i) for x in images for i in range(1, bound + 1)}
+            extra = next(key for key in table if key not in keys)
+            raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
+        _check_tokens(chain(images, chain.from_iterable(chain.from_iterable(images.values()))))
         self.bound = bound
-        self._table = tab = _tabulate(self.domain, bound, table)
-        self._rule = lambda x, i: tab[(x, i)]
+        self.images = images
 
     @classmethod
-    def from_rule(cls, domain: Iterable[str], bound: int, rule) -> "OccurrenceBasedFunction":
-        """The function (x, i) -> ``rule(x, i)``; the rule is called when the
-        function is applied, and for every pair only if the table is read."""
+    def _trusted(cls, bound: int, images: dict[str, tuple[tuple[str, ...], ...]]) -> "OccurrenceBasedFunction":
+        """The function with rows ``images`` of ``bound`` images each, their
+        symbols and tokens known to be valid; only the bound is checked."""
+        _check_bound(bound)
         h = cls.__new__(cls)
-        h.domain = _check_domain(domain, bound)
         h.bound = bound
-        h._rule = rule
-        h._table = None
+        h.images = images
         return h
 
     @property
+    def domain(self) -> frozenset[str]:
+        return frozenset(self.images)
+
+    @property
     def table(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        if self._table is None:
-            rule, bound = self._rule, self.bound
-            self._table = _tabulate(
-                self.domain, bound, {(x, i): rule(x, i) for x in self.domain for i in range(1, bound + 1)}
-            )
-        return self._table
+        return {(x, i): image for x, row in self.images.items() for i, image in enumerate(row, 1)}
 
     def image(self, symbol: str, index: int) -> tuple[str, ...]:
-        return self.table[(symbol, index)]
+        if not 1 <= index <= self.bound:  # a tuple index would wrap
+            raise KeyError((symbol, index))
+        return self.images[symbol][index - 1]
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OccurrenceBasedFunction)
             and self.bound == other.bound
-            and self.table == other.table
+            and self.images == other.images
         )
 
     def __hash__(self) -> int:
-        return hash((self.bound, frozenset(self.table.items())))
+        return hash((self.bound, frozenset(self.images.items())))
 
     def __repr__(self) -> str:
-        return f"OccurrenceBasedFunction(domain={sorted(self.domain)}, bound={self.bound})"
+        return f"OccurrenceBasedFunction(domain={sorted(self.images)}, bound={self.bound})"
 
 
-def _check_domain(domain: Iterable[str], bound: int) -> frozenset[str]:
+def _check_bound(bound: int) -> None:
     if bound < 1:
         raise ValueError(f"occurrence bound must be positive, got {bound}")
-    return frozenset(domain)
-
-
-def _tabulate(
-    dom: frozenset[str], bound: int, table: Mapping[tuple[str, int], Sequence[str] | Word]
-) -> dict[tuple[str, int], tuple[str, ...]]:
-    """The table as tuples, checked to cover exactly dom x 1..bound and to
-    hold valid domain symbols and image tokens."""
-    tab: dict[tuple[str, int], tuple[str, ...]] = {}
-    for x in dom:
-        for i in range(1, bound + 1):
-            if (x, i) not in table:
-                raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
-            image = table[(x, i)]
-            tab[(x, i)] = image.letters if isinstance(image, Word) else tuple(image)
-    if len(table) > len(tab):
-        extra = next(key for key in table if key not in tab)
-        raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
-    _check_tokens(chain(dom, *tab.values()))
-    return tab
 
 
 def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
     """Rewrite ``w`` occurrence-wise: concatenate h(x, i) over the labelled word.
 
     Domain and bound are checked once per distinct symbol of ``w``, in
-    first-occurrence order; the result validates each distinct token once.
+    first-occurrence order.  Each symbol's row is then read in order, one
+    image per occurrence; the images were validated with the function.
     """
+    rows = h.images
     for x, n in w.counts.items():
-        if x not in h.domain:
+        if x not in rows:
             raise ValueError(f"symbol {x!r} is outside the function's domain")
         if n > h.bound:
             raise ValueError(f"symbol {x!r} occurs {n} times, above the occurrence bound {h.bound}")
-    image = h._rule
-    seen = dict.fromkeys(w.counts, 0)
-    out: list[str] = []
-    for x in w.letters:
-        i = seen[x] = seen[x] + 1
-        out.extend(image(x, i))
-    return Word(out)
+    rest = {x: iter(rows[x]) for x in w.counts}
+    out = tuple(chain.from_iterable(map(next, map(rest.__getitem__, w.letters))))
+    return Word._trusted(out, dict(Counter(out)))
 
 
 def projection(indices: Iterable[int], alphabet: Iterable[str], bound: int) -> OccurrenceBasedFunction:
     """The occurrence-based function keeping exactly the occurrences whose
     index lies in ``indices`` and erasing the rest."""
     idx = _check_index_set(indices, bound)
-    return OccurrenceBasedFunction.from_rule(
-        alphabet, bound, lambda x, i: (x,) if i in idx else ()
+    dom = frozenset(alphabet)
+    _check_tokens(dom)  # the images hold no other tokens
+    return OccurrenceBasedFunction._trusted(
+        bound, {x: tuple((x,) if i in idx else () for i in range(1, bound + 1)) for x in dom}
     )
 
 
@@ -200,10 +192,9 @@ def extend_uniform(w: Word, index: int) -> Word:
 def obf_to_text(h: OccurrenceBasedFunction) -> str:
     """Serialize as a 'k=<bound>' header plus one 'x i -> tokens' line per entry."""
     lines = [f"k={h.bound}"]
-    for x in sorted(h.domain):
-        for i in range(1, h.bound + 1):
-            rhs = " ".join(h.table[(x, i)])
-            lines.append(f"{x} {i} -> {rhs}".rstrip())
+    for x in sorted(h.images):
+        for i, image in enumerate(h.images[x], 1):
+            lines.append(f"{x} {i} -> {' '.join(image)}".rstrip())
     return "\n".join(lines) + "\n"
 
 

@@ -126,10 +126,12 @@ def _concat(words: Sequence[Word]) -> Word:
     return Word._trusted(tuple(chain.from_iterable(w.letters for w in words)), counts)
 
 
-def restrict(w: Word, symbols: Set[str] | Iterable[str]) -> Word:
-    """The subsequence of ``w`` consisting of the letters in ``symbols``."""
-    keep = symbols if isinstance(symbols, (set, frozenset)) else frozenset(symbols)
-    return Word(tok for tok in w.letters if tok in keep)
+def restrict(w: Word, symbols: Set[str] | Iterable[str] | str) -> Word:
+    """The subsequence of ``w`` consisting of the letters in ``symbols``;
+    a string of symbols is whitespace-separated, as ``Word`` reads it."""
+    keep = frozenset(symbols.split() if isinstance(symbols, str) else symbols)
+    kept = tuple(tok for tok in w.letters if tok in keep)
+    return Word._trusted(kept, {x: n for x, n in w.counts.items() if x in keep})
 
 
 def alternates(w: Word, x: str, y: str) -> bool:

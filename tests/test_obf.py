@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,15 +8,17 @@ from wordrep import (
     OccurrenceBasedFunction,
     Word,
     apply,
+    cube_word,
     extend_uniform,
     graph_of_word,
     lemma1_concat,
     obf_from_text,
     obf_to_text,
+    product_kn_functions,
     projection,
     uniformity,
 )
-from wordrep.constructions import product_k2_functions
+from wordrep.constructions import _copy_functions
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -32,35 +35,24 @@ def test_table_must_be_total():
 
 
 def test_image_tokens_are_validated():
-    # a rule-built function's images are checked when a word reaches their
-    # (x, i) and when the table is read; an explicit table is checked at once
-    h = OccurrenceBasedFunction.from_rule({"a", "b"}, 3, lambda x, i: (x, "not ok") if i == 3 else (x,))
-    assert apply(h, Word("a b b a")) == Word("a b b a")
+    table = {(x, i): (x, "not ok") if i == 3 else (x,) for x in "ab" for i in (1, 2, 3)}
     with pytest.raises(ValueError, match="not ok"):
-        apply(h, Word("a b a a"))
-    with pytest.raises(ValueError, match="not ok"):
-        obf_to_text(h)
-    h = OccurrenceBasedFunction.from_rule({"a"}, 2, lambda x, i: (x, ["list"]))
+        OccurrenceBasedFunction({"a", "b"}, 3, table)
     with pytest.raises(ValueError):
-        apply(h, Word("a"))
-    with pytest.raises(ValueError):
-        obf_to_text(h)
+        OccurrenceBasedFunction({"a"}, 2, {("a", 1): ("a",), ("a", 2): ("a", ["list"])})
     with pytest.raises(ValueError):
         OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a@",)})
 
 
 def test_domain_symbols_are_validated_with_the_table():
-    # a valid word never holds an invalid domain symbol, so a rule-built
-    # function applies; its table, once read, is checked in full
-    h = OccurrenceBasedFunction.from_rule({"a", "b@"}, 2, lambda x, i: (x,))
-    assert apply(h, Word("a a")) == Word("a a")
-    with pytest.raises(ValueError, match="b@"):
-        obf_to_text(h)
-    h = OccurrenceBasedFunction.from_rule({"a", "b@"}, 2, lambda x, i: (x,))
-    with pytest.raises(ValueError, match="b@"):
-        h.table
     with pytest.raises(ValueError, match="b@"):
         OccurrenceBasedFunction({"a", "b@"}, 1, {("a", 1): ("a",), ("b@", 1): ()})
+    with pytest.raises(ValueError, match="b@"):
+        projection({1}, {"a", "b@"}, 2)
+    # a copy name x@j is valid iff x is, so checking the copy names checks
+    # the domain of the product functions
+    with pytest.raises(ValueError, match="b@"):
+        product_kn_functions({"a", "b@"}, 2, 3)
 
 
 def test_table_entries_outside_the_domain_are_rejected():
@@ -68,44 +60,124 @@ def test_table_entries_outside_the_domain_are_rejected():
         OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a",), ("z", 1): ("q",)})
 
 
-def test_from_rule_equals_its_explicit_table():
-    def rule(x, i):
-        return (f"{x}@{i}",) * (i % 3)
-
-    domain, k = {"a", "b", "c"}, 4
-    table = {(x, i): rule(x, i) for x in domain for i in range(1, k + 1)}
-    lazy, eager = OccurrenceBasedFunction.from_rule(domain, k, rule), OccurrenceBasedFunction(domain, k, table)
-    assert lazy == eager and hash(lazy) == hash(eager)
-    assert lazy.table == eager.table and obf_to_text(lazy) == obf_to_text(eager)
-    w = Word("a b c c a b b a c a b c")
-    assert apply(lazy, w) == apply(eager, w)
+def test_string_image_is_read_as_whitespace_separated_tokens():
+    h = OccurrenceBasedFunction({"x"}, 2, {("x", 1): "x0", ("x", 2): " x1  x0 "})
+    assert h.image("x", 1) == ("x0",)
+    assert h.image("x", 2) == ("x1", "x0")
+    assert h == OccurrenceBasedFunction({"x"}, 2, {("x", 1): Word("x0"), ("x", 2): ["x1", "x0"]})
+    with pytest.raises(ValueError, match="x@"):
+        OccurrenceBasedFunction({"x"}, 1, {("x", 1): "x x@"})
 
 
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         OccurrenceBasedFunction({"a"}, 0, {})
+    with pytest.raises(ValueError, match="bound"):
+        product_kn_functions({"a"}, 0, 2)
 
 
-def test_from_rule_and_image():
-    h = OccurrenceBasedFunction.from_rule({"a", "b"}, 2, lambda x, i: (x,) * i)
+def test_product_kn_functions_need_a_copy():
+    assert product_kn_functions({"a"}, 2, 1)[0].images == {"a": (("a@1",), ("a@1",))}
+    with pytest.raises(ValueError, match="n >= 1"):
+        product_kn_functions({"a"}, 2, 0)
+
+
+def test_image_reads_the_rows_within_the_bound():
+    h = OccurrenceBasedFunction({"a", "b"}, 2, {(x, i): (x,) * i for x in "ab" for i in (1, 2)})
     assert h.image("a", 1) == ("a",)
     assert h.image("b", 2) == ("b", "b")
+    assert h.images == {"a": (("a",), ("a", "a")), "b": (("b",), ("b", "b"))}
+    assert h.domain == {"a", "b"}
+    # index 0 would wrap to the last image of a row
+    for x, i in (("a", 0), ("a", 3), ("b", -1), ("c", 1)):
+        with pytest.raises(KeyError):
+            h.image(x, i)
+
+
+def paper_copy_functions(alphabet, k, n, name):
+    """The n-copy product's functions, one explicit table each, written
+    from the formulas: f_1 maps (x, 1) to copy 1 and (x, i > 1) to copies
+    n..1; f_j (j >= 2) maps (x, 1) to copy j, (x, 2) to copies j-1..1 then
+    n..j, and (x, i > 2) to the empty word."""
+    fs = []
+    for j in range(1, n + 1):
+        table = {}
+        for x in alphabet:
+            for i in range(1, k + 1):
+                if i == 1:
+                    copies = [j]
+                elif j == 1:
+                    copies = range(n, 0, -1)
+                elif i == 2:
+                    copies = [*range(j - 1, 0, -1), *range(n, j - 1, -1)]
+                else:
+                    copies = []
+                table[(x, i)] = [name(x, c) for c in copies]
+        fs.append(OccurrenceBasedFunction(alphabet, k, table))
+    return fs
+
+
+def assert_same_function(built, explicit, words):
+    assert built == explicit and hash(built) == hash(explicit)
+    assert built.table == explicit.table and obf_to_text(built) == obf_to_text(explicit)
+    assert all(len(row) == built.bound for row in built.images.values())
+    for w in words:
+        out = apply(built, w)
+        assert out == apply(explicit, w)
+        assert out.counts == dict(Counter(out.letters))
+
+
+def test_product_kn_functions_match_the_formulas():
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            words = [random_uniform_word(rng, 5, k) for _ in range(3)]
+            alphabet = words[0].alphabet
+            built = product_kn_functions(alphabet, k, n)
+            explicit = paper_copy_functions(alphabet, k, n, lambda x, c: f"{x}@{c}")
+            for f, e in zip(built, explicit, strict=True):
+                assert_same_function(f, e, words)
+
+
+def test_cube_copy_functions_match_the_formulas():
+    # the cube's steps name copy 1 of x as x0 and copy 2 as x1
+    for k in (1, 2, 3, 5):
+        prev = cube_word(k)
+        built = _copy_functions(prev.alphabet, k, ("0", "1"))
+        explicit = paper_copy_functions(prev.alphabet, k, 2, lambda x, c: f"{x}{c - 1}")
+        for f, e in zip(built, explicit, strict=True):
+            assert_same_function(f, e, [prev])
+
+
+def test_projection_matches_the_formula():
+    rng = random.Random(11)
+    for k in (1, 2, 3, 4):
+        words = [random_uniform_word(rng, 4, k) for _ in range(3)]
+        alphabet = words[0].alphabet
+        for size in range(1, k + 1):
+            idx = set(rng.sample(range(1, k + 1), size))
+            explicit = OccurrenceBasedFunction(
+                alphabet, k, {(x, i): [x] if i in idx else [] for x in alphabet for i in range(1, k + 1)}
+            )
+            assert_same_function(projection(idx, alphabet, k), explicit, words)
 
 
 def test_apply_identity_and_empty_images():
-    identity = OccurrenceBasedFunction.from_rule({"1", "2", "3", "4"}, 2, lambda x, i: (x,))
+    alpha = SEED_WORD.alphabet
+    identity = OccurrenceBasedFunction(alpha, 2, {(x, i): (x,) for x in alpha for i in (1, 2)})
     assert apply(identity, SEED_WORD) == SEED_WORD
-    erase = OccurrenceBasedFunction.from_rule({"1", "2", "3", "4"}, 2, lambda x, i: ())
+    erase = OccurrenceBasedFunction(alpha, 2, {(x, i): () for x in alpha for i in (1, 2)})
     assert apply(erase, SEED_WORD) == Word()
+    assert apply(erase, SEED_WORD).counts == {}
 
 
 def test_apply_two_copy_first_function():
-    f, _ = product_k2_functions({"1", "2"}, 2)
+    f, _ = product_kn_functions({"1", "2"}, 2, 2)
     assert apply(f, Word("1 2 1 2")) == Word("1@1 2@1 1@2 1@1 2@2 2@1")
 
 
 def test_apply_rejects_domain_violations():
-    h = OccurrenceBasedFunction.from_rule({"a"}, 1, lambda x, i: (x,))
+    h = OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a",)})
     with pytest.raises(ValueError, match="domain"):
         apply(h, Word("b"))
     with pytest.raises(ValueError, match="bound"):
@@ -126,8 +198,10 @@ def test_apply_length_is_sum_of_image_lengths():
     for _ in range(50):
         k = rng.randint(1, 3)
         w = random_uniform_word(rng, rng.randint(1, 4), k)
-        h = OccurrenceBasedFunction.from_rule(
-            w.alphabet, k, lambda x, i: tuple(f"{x}_{j}" for j in range((int(x) + i) % 3))
+        h = OccurrenceBasedFunction(
+            w.alphabet,
+            k,
+            {(x, i): [f"{x}_{j}" for j in range((int(x) + i) % 3)] for x in w.alphabet for i in range(1, k + 1)},
         )
         out = apply(h, w)
         assert len(out) == sum(len(h.image(x, i)) for x, i in zip(w, occurrence_indices(w)))
@@ -224,7 +298,7 @@ def test_extend_uniform_preserves_graph_and_bumps_uniformity():
 
 
 def test_obf_text_round_trip():
-    f, g = product_k2_functions({"1", "2"}, 3)
+    f, g = product_kn_functions({"1", "2"}, 3, 2)
     for h in (f, g):
         text = obf_to_text(h)
         assert text.startswith("k=3\n")

@@ -119,6 +119,9 @@ def test_restrict_examples():
     assert restrict(SEED_WORD, SEED_WORD.alphabet) == SEED_WORD
     assert restrict(SEED_WORD, set()) == Word()
     assert restrict(SEED_WORD, {"1", "9"}) == Word("1 1")
+    # a string of symbols is read as Word reads it, not as a set of characters
+    assert restrict(Word("ab c ab d"), "ab") == Word("ab ab")
+    assert restrict(Word("ab c ab d"), "d ab") == Word("ab ab d")
 
 
 def test_restrict_composes_as_intersection():
@@ -128,7 +131,9 @@ def test_restrict_composes_as_intersection():
         w = Word(rng.choices(names, k=rng.randint(0, 12)))
         b = {s for s in names if rng.random() < 0.6}
         c = {s for s in names if rng.random() < 0.6}
-        assert restrict(restrict(w, b), c) == restrict(w, b & c)
+        out = restrict(restrict(w, b), c)
+        assert out == restrict(w, b & c)
+        assert list(out.counts.items()) == list(Word(out.letters).counts.items())
 
 
 def test_alternates_examples():
