@@ -111,9 +111,9 @@ def cycle(n: int) -> Graph:
 
 
 def cube(k: int) -> Graph:
-    """The k-dimensional hypercube on length-k bitstring names."""
-    if k < 1:
-        raise ValueError(f"cube needs k >= 1, got {k}")
+    """The k-dimensional hypercube on length-k bitstring names, 1 <= k <= 20."""
+    if not 1 <= k <= MAX_CUBE_DIMENSION:
+        raise ValueError(f"cube needs 1 <= k <= {MAX_CUBE_DIMENSION}, got {k}")
     names = ["".join(bits) for bits in product("01", repeat=k)]
     # names[v] spells v in binary; setting bit b of v sets one letter to 1
     edges = [(names[v], names[v | 1 << b]) for b in range(k) for v in range(1 << k) if not v >> b & 1]

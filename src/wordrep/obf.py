@@ -8,13 +8,12 @@ preserves the represented graph, which is the engine behind the product
 constructions.
 
 A function is one row of images per symbol, h(x, 1), ..., h(x, bound),
-built and validated when the function is constructed; :func:`apply` only
-looks the images up, so the word it returns is not validated again, and
-neither is a concatenation of such words.
+built and validated when the function is constructed.  :func:`apply` only
+looks the images up; the word it returns, and a concatenation of such
+words, is not validated again and is counted only when ``counts`` is read.
 """
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 
@@ -135,8 +134,7 @@ def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
         if n > h.bound:
             raise ValueError(f"symbol {x!r} occurs {n} times, above the occurrence bound {h.bound}")
     rest = {x: iter(rows[x]) for x in w.counts}
-    out = tuple(chain.from_iterable(map(next, map(rest.__getitem__, w.letters))))
-    return Word._trusted(out, dict(Counter(out)))
+    return Word._trusted(tuple(chain.from_iterable(map(next, map(rest.__getitem__, w.letters)))))
 
 
 def projection(indices: Iterable[int], alphabet: Iterable[str], bound: int) -> OccurrenceBasedFunction:

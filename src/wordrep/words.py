@@ -54,12 +54,13 @@ class Word:
     ``Word(["3", "1", "4", "2"])``.  Multi-character symbols are therefore
     unambiguous.  The empty word is allowed.  The distinct tokens are
     validated in one regex pass (per 4,096), and the error names the first
-    bad one.  ``counts`` lists the symbols in first-occurrence order.
-    Words assembled from valid words (``+``, the constructions'
-    concatenations) are not validated again.
+    bad one.  Words assembled from valid words (``+``, ``restrict``, the
+    constructions' concatenations) are not validated again, and they count
+    their letters only when ``counts`` is first read.  ``counts`` is
+    read-only and lists the symbols in first-occurrence order.
     """
 
-    __slots__ = ("letters", "counts", "_hash")
+    __slots__ = ("letters", "_counts")
 
     def __init__(self, letters: Iterable[str] | str = ()):
         if isinstance(letters, str):
@@ -72,18 +73,22 @@ class Word:
             raise ValueError("invalid symbol token: unhashable value") from None
         _check_tokens(counts)
         self.letters: tuple[str, ...] = seq
-        self.counts: dict[str, int] = dict(counts)
-        self._hash = hash(seq)
+        self._counts: dict[str, int] | None = dict(counts)
 
     @classmethod
-    def _trusted(cls, letters: tuple[str, ...], counts: dict[str, int]) -> "Word":
-        """A word whose tokens are known to be valid, with ``counts`` given
-        in first-occurrence order; nothing is checked."""
+    def _trusted(cls, letters: tuple[str, ...]) -> "Word":
+        """A word whose tokens are known to be valid; nothing is checked."""
         w = cls.__new__(cls)
         w.letters = letters
-        w.counts = counts
-        w._hash = hash(letters)
+        w._counts = None
         return w
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The occurrences of each symbol, in first-occurrence order."""
+        if self._counts is None:
+            self._counts = dict(Counter(self.letters))
+        return self._counts
 
     @property
     def alphabet(self) -> frozenset[str]:
@@ -108,7 +113,7 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.letters)
 
     def __str__(self) -> str:
         return " ".join(self.letters)
@@ -119,19 +124,14 @@ class Word:
 
 def _concat(words: Sequence[Word]) -> Word:
     """The concatenation of ``words``, built once and not validated again."""
-    counts: dict[str, int] = {}
-    for w in words:
-        for x, n in w.counts.items():
-            counts[x] = counts.get(x, 0) + n
-    return Word._trusted(tuple(chain.from_iterable(w.letters for w in words)), counts)
+    return Word._trusted(tuple(chain.from_iterable(w.letters for w in words)))
 
 
 def restrict(w: Word, symbols: Set[str] | Iterable[str] | str) -> Word:
     """The subsequence of ``w`` consisting of the letters in ``symbols``;
     a string of symbols is whitespace-separated, as ``Word`` reads it."""
     keep = frozenset(symbols.split() if isinstance(symbols, str) else symbols)
-    kept = tuple(tok for tok in w.letters if tok in keep)
-    return Word._trusted(kept, {x: n for x, n in w.counts.items() if x in keep})
+    return Word._trusted(tuple(tok for tok in w.letters if tok in keep))
 
 
 def alternates(w: Word, x: str, y: str) -> bool:

@@ -1,7 +1,39 @@
-"""Shared test plumbing: collects acceptance-criterion verdicts and prints
-one line per criterion in the terminal summary."""
+"""Shared test plumbing: caps each test's run time, and collects
+acceptance-criterion verdicts to print one line per criterion in the
+terminal summary."""
+import signal
+
+import pytest
+
+TEST_SECONDS = 60  # the slowest test takes under 3 s
 
 acceptance_results: list[tuple[int, str, str]] = []
+
+
+class TimeCapExceeded(Exception):
+    """A test ran past TEST_SECONDS.  Neither a ValueError nor an OSError,
+    so that ``cli.main`` cannot turn it into exit code 2."""
+
+
+@pytest.fixture(autouse=True)
+def _time_cap():
+    """Fail a test that runs past TEST_SECONDS instead of hanging the suite
+    (a search fault can make a query run for hours); a no-op on platforms
+    without SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeCapExceeded(f"test ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def record_criterion(number: int, description: str, passed: bool) -> None:

@@ -1,7 +1,9 @@
+import doctest
 import io
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -474,3 +476,9 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     assert expected[0] != expected[1] and expected[4] != expected[5]
     assert expected[2][0][0] == 2 and expected[3][0][0] == 1
     assert expected[6][1] == 1 and expected[7][1] == 0
+
+
+def test_readme_quick_tour_runs_as_written():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert attempted > 0 and failed == 0

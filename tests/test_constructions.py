@@ -146,8 +146,9 @@ def test_cube_word_dimension_is_bounded_like_the_cli():
     # above the bound a clear ValueError, not a RecursionError per dimension
     assert constructions.MAX_CUBE_DIMENSION == 20
     for k in (0, 21, 1200):
-        with pytest.raises(ValueError, match=r"1 <= k <= 20, got"):
-            cube_word(k)
+        for build in (cube_word, cube):
+            with pytest.raises(ValueError, match=r"1 <= k <= 20, got"):
+                build(k)
     args = _build_parser().parse_args(["construct", "cube", "-k", "20"])
     assert args.k == 20
 
@@ -199,7 +200,30 @@ def sha256(w):
 
 
 def assert_counts_match_letters(w):
+    # a word counts its own letters in first-occurrence order, its counts
+    # cannot be set apart from them, and it equals and hashes like the
+    # same word parsed from its text
     assert list(w.counts.items()) == list(Counter(w.letters).items())
+    with pytest.raises(AttributeError):
+        w.counts = {}
+    parsed = Word(str(w))
+    assert w == parsed and hash(w) == hash(parsed)
+
+
+def test_built_words_count_their_letters_and_hash_like_parsed_ones():
+    w = cube_word(3)
+    f, _ = constructions.product_kn_functions(w.alphabet, 3, 2)
+    for built in (
+        Word("b a") + Word("a c b"),
+        w + w,
+        restrict(w, {"000", "011", "110"}),
+        restrict(w, ()),
+        obf.apply(f, w),
+        obf.lemma1_concat(w, [{1, 2}, {2, 3}]),
+        cube_word(5),
+        Word("3 1 4 2 1 3 2 4"),
+    ):
+        assert_counts_match_letters(built)
 
 
 # sha256 of str(cube_word(k)), pinned so that faster constructions must

@@ -124,7 +124,8 @@ def assert_same_function(built, explicit, words):
     for w in words:
         out = apply(built, w)
         assert out == apply(explicit, w)
-        assert out.counts == dict(Counter(out.letters))
+        assert list(out.counts.items()) == list(Counter(out.letters).items())
+        assert out == Word(str(out)) and hash(out) == hash(Word(str(out)))
 
 
 def test_product_kn_functions_match_the_formulas():
