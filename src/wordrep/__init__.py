@@ -1,12 +1,12 @@
-"""Word-representable graphs: alternation words, occurrence-based
-rewriting, Cartesian-product constructions, and a brute-force search
-oracle for representation numbers."""
+"""Word-representable graphs: words and the graph each represents (its
+alternating pairs, found in one sweep by ``graph_of_word`` and
+``represents``), occurrence-based functions, the Cartesian-product
+constructions built from them, and a brute-force search oracle for
+representation numbers.  ``__all__`` is the whole public API."""
 
 from .words import (
     Word,
-    alternates,
     check_symbol,
-    label,
     parse_words,
     restrict,
     uniformity,
@@ -17,8 +17,6 @@ from .obf import (
     apply,
     extend_uniform,
     lemma1_concat,
-    obf_from_text,
-    obf_to_text,
     projection,
 )
 from .graphs import (
@@ -58,9 +56,7 @@ from .search import (
 
 __all__ = [
     "Word",
-    "alternates",
     "check_symbol",
-    "label",
     "parse_words",
     "restrict",
     "uniformity",
@@ -69,8 +65,6 @@ __all__ = [
     "apply",
     "extend_uniform",
     "lemma1_concat",
-    "obf_from_text",
-    "obf_to_text",
     "projection",
     "Graph",
     "NamingConflictError",

@@ -62,14 +62,10 @@ class Graph:
         return self._edges
 
     def adjacent(self, u: str, v: str) -> bool:
-        mask = self.masks[self.index[u]]
-        return v in self.index and mask >> self.index[v] & 1 == 1
-
-    def neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(self.names[j] for j in _bits(self.masks[self.index[v]]))
-
-    def degree(self, v: str) -> int:
-        return self.masks[self.index[v]].bit_count()
+        """True iff u and v are adjacent; a name outside the graph is
+        adjacent to nothing, in either position."""
+        i, j = self.index.get(u), self.index.get(v)
+        return i is not None and j is not None and self.masks[i] >> j & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.names == other.names and self.masks == other.masks

@@ -88,19 +88,6 @@ class OccurrenceBasedFunction:
         h.images = images
         return h
 
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.images)
-
-    @property
-    def table(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        return {(x, i): image for x, row in self.images.items() for i, image in enumerate(row, 1)}
-
-    def image(self, symbol: str, index: int) -> tuple[str, ...]:
-        if not 1 <= index <= self.bound:  # a tuple index would wrap
-            raise KeyError((symbol, index))
-        return self.images[symbol][index - 1]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, OccurrenceBasedFunction)
@@ -186,41 +173,3 @@ def extend_uniform(w: Word, index: int) -> Word:
     """
     return lemma1_concat(w, [{index}, range(1, (uniformity(w) or 0) + 1)])
 
-
-def obf_to_text(h: OccurrenceBasedFunction) -> str:
-    """Serialize as a 'k=<bound>' header plus one 'x i -> tokens' line per entry."""
-    lines = [f"k={h.bound}"]
-    for x in sorted(h.images):
-        for i, image in enumerate(h.images[x], 1):
-            lines.append(f"{x} {i} -> {' '.join(image)}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def obf_from_text(text: str) -> OccurrenceBasedFunction:
-    """Parse the textual form produced by :func:`obf_to_text`."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("k="):
-        raise ValueError("missing 'k=<bound>' header")
-    try:
-        bound = int(lines[0][2:])
-    except ValueError:
-        raise ValueError(f"bad bound in header: {lines[0]!r}") from None
-    table: dict[tuple[str, int], tuple[str, ...]] = {}
-    for ln in lines[1:]:
-        head, sep, rhs = ln.partition("->")
-        if not sep:
-            raise ValueError(f"malformed entry (no '->'): {ln!r}")
-        parts = head.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed entry head: {ln!r}")
-        x, idx_text = parts
-        try:
-            i = int(idx_text)
-        except ValueError:
-            raise ValueError(f"bad occurrence index in: {ln!r}") from None
-        if (x, i) in table:
-            raise ValueError(f"duplicate entry for ({x!r}, {i})")
-        table[(x, i)] = tuple(rhs.split())
-    domain = {x for x, _ in table}
-    return OccurrenceBasedFunction(domain, bound, table)

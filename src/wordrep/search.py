@@ -241,7 +241,7 @@ def is_k_representable(
         if len(stack) < total:
             candidates = iter(ids)
             continue
-        cand = Word(names[f[0]] for f in stack)
+        cand = Word._trusted(tuple(names[f[0]] for f in stack))
         if represents(cand, g):
             witness = cand
             break

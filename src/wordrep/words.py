@@ -1,10 +1,11 @@
-"""Words over symbol alphabets: restriction, alternation, uniformity, labelling.
+"""Words over symbol alphabets: parsing, restriction, uniformity.
 
 A word is a finite sequence of symbols.  Two symbols x, y alternate in a
 word when deleting every other symbol leaves xyxy... or yxyx... (no two
 equal adjacent letters).  That single notion drives everything else in
 this package: a word represents the graph whose edges are exactly its
-alternating pairs.
+alternating pairs, which :func:`wordrep.graphs.graph_of_word` finds in
+one sweep.
 """
 from __future__ import annotations
 
@@ -56,11 +57,12 @@ class Word:
     validated in one regex pass (per 4,096), and the error names the first
     bad one.  Words assembled from valid words (``+``, ``restrict``, the
     constructions' concatenations) are not validated again, and they count
-    their letters only when ``counts`` is first read.  ``counts`` is
-    read-only and lists the symbols in first-occurrence order.
+    their letters only when ``counts`` is first read.  ``letters`` and
+    ``counts`` are read-only; ``counts`` lists the symbols in
+    first-occurrence order.
     """
 
-    __slots__ = ("letters", "_counts")
+    __slots__ = ("_letters", "_counts")
 
     def __init__(self, letters: Iterable[str] | str = ()):
         if isinstance(letters, str):
@@ -72,22 +74,27 @@ class Word:
             _check_tokens(seq)  # rejects the unhashable token: it is no str
             raise ValueError("invalid symbol token: unhashable value") from None
         _check_tokens(counts)
-        self.letters: tuple[str, ...] = seq
+        self._letters: tuple[str, ...] = seq
         self._counts: dict[str, int] | None = dict(counts)
 
     @classmethod
     def _trusted(cls, letters: tuple[str, ...]) -> "Word":
         """A word whose tokens are known to be valid; nothing is checked."""
         w = cls.__new__(cls)
-        w.letters = letters
+        w._letters = letters
         w._counts = None
         return w
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        """The word's tokens, in order."""
+        return self._letters
 
     @property
     def counts(self) -> dict[str, int]:
         """The occurrences of each symbol, in first-occurrence order."""
         if self._counts is None:
-            self._counts = dict(Counter(self.letters))
+            self._counts = dict(Counter(self._letters))
         return self._counts
 
     @property
@@ -96,13 +103,13 @@ class Word:
         return frozenset(self.counts)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._letters)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.letters)
+        return iter(self._letters)
 
     def __getitem__(self, i):
-        return self.letters[i]
+        return self._letters[i]
 
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -110,13 +117,13 @@ class Word:
         return _concat((self, other))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
+        return isinstance(other, Word) and self._letters == other._letters
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return hash(self._letters)
 
     def __str__(self) -> str:
-        return " ".join(self.letters)
+        return " ".join(self._letters)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -134,24 +141,6 @@ def restrict(w: Word, symbols: Set[str] | Iterable[str] | str) -> Word:
     return Word._trusted(tuple(tok for tok in w.letters if tok in keep))
 
 
-def alternates(w: Word, x: str, y: str) -> bool:
-    """True iff x and y alternate in ``w``.
-
-    Equivalent to: the restriction of ``w`` to {x, y} contains no two equal
-    adjacent letters.  Restrictions of length 0 or 1 alternate vacuously,
-    so symbols absent from ``w`` are fine.  Raises ValueError when x == y.
-    """
-    if x == y:
-        raise ValueError(f"alternation query needs two distinct symbols, got {x!r} twice")
-    prev = None
-    for tok in w.letters:
-        if tok == x or tok == y:
-            if tok == prev:
-                return False
-            prev = tok
-    return True
-
-
 def uniformity(w: Word) -> int | None:
     """Return k when every symbol of ``w`` occurs exactly k times, else None.
 
@@ -163,16 +152,6 @@ def uniformity(w: Word) -> int | None:
     if len(counts) == 1:
         return counts.pop()
     return None
-
-
-def label(w: Word) -> tuple[tuple[str, int], ...]:
-    """Attach 1-based occurrence indices: the i-th x becomes (x, i)."""
-    seen: Counter[str] = Counter()
-    out = []
-    for tok in w.letters:
-        seen[tok] += 1
-        out.append((tok, seen[tok]))
-    return tuple(out)
 
 
 def parse_words(text: str) -> list[Word]:

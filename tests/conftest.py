@@ -1,6 +1,6 @@
-"""Shared test plumbing: caps each test's run time, and collects
+"""Shared test plumbing: caps each test's run time, collects
 acceptance-criterion verdicts to print one line per criterion in the
-terminal summary."""
+terminal summary, and holds the tests' one pairwise alternation oracle."""
 import signal
 
 import pytest
@@ -34,6 +34,13 @@ def _time_cap():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def restriction_alternates(letters, x, y):
+    """Pairwise oracle, written from the definition: the restriction of the
+    token sequence ``letters`` to {x, y} has no two equal neighbours."""
+    kept = [t for t in letters if t == x or t == y]
+    return all(a != b for a, b in zip(kept, kept[1:]))
 
 
 def record_criterion(number: int, description: str, passed: bool) -> None:

@@ -8,12 +8,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, restriction_alternates
 from wordrep import (
     ChainConditionError,
     Graph,
     Word,
-    alternates,
     cartesian_product,
     complete,
     complete_word,
@@ -161,7 +160,7 @@ def test_diagonal_alternation_identity():
                 for x in w.alphabet:
                     for i, j in combinations(range(1, copies + 1), 2):
                         a, b = f"{x}@{i}", f"{x}@{j}"
-                        assert alternates(out, a, b), f"{a}, {b} in {out}"
+                        assert restriction_alternates(out, a, b), f"{a}, {b} in {out}"
                         assert len(restrict(out, {a, b})) == 2 * k_out
 
 
@@ -187,7 +186,7 @@ def reference_search(g, k):
                 continue
             word.append(x)
             counts[x] += 1
-            if not any(repeats(x, u) for u in g.neighbors(x)):
+            if not any(repeats(x, u) for u in names if g.adjacent(x, u)):
                 explored += 1
                 if all(counts[u] < k or repeats(x, u) for u in names
                        if counts[x] == k and u != x and not g.adjacent(x, u)) and descend():

@@ -482,3 +482,26 @@ def test_readme_quick_tour_runs_as_written():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     failed, attempted = doctest.testfile(str(readme), module_relative=False)
     assert attempted > 0 and failed == 0
+
+
+def test_public_surface_is_pinned():
+    # the API shrinks or grows only together with this list and README
+    import wordrep
+    from wordrep import obf, search, words
+
+    assert sorted(wordrep.__all__) == [
+        "ChainConditionError", "ConstructionError", "DEFAULT_BUDGET", "Graph",
+        "NamingConflictError", "OccurrenceBasedFunction", "SearchOutcome", "Word",
+        "apply", "cartesian_product", "check_symbol", "complete", "complete_word",
+        "cube", "cube_word", "cycle", "cycle_word", "extend_uniform",
+        "graph_from_edges_text", "graph_from_json", "graph_of_word",
+        "graph_to_edges_text", "graph_to_json", "is_k_representable", "isomorphic",
+        "lemma1_concat", "load_graph", "outcome_to_json", "parse_graph", "parse_words",
+        "prism_word", "product_k2_word", "product_kn_functions", "product_kn_word",
+        "projection", "representation_number", "represents", "restrict", "uniformity",
+    ]
+    assert all(hasattr(wordrep, name) for name in wordrep.__all__)
+    for module in (words, obf, graphs, constructions, search):
+        for name, obj in vars(module).items():
+            if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                assert name in wordrep.__all__, f"{module.__name__}.{name} is public but not exported"

@@ -6,11 +6,11 @@ from itertools import combinations
 
 import pytest
 
+from conftest import restriction_alternates
 from wordrep import constructions, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
     Word,
-    alternates,
     cartesian_product,
     complete,
     complete_word,
@@ -129,7 +129,7 @@ def test_diagonal_pairs_alternate_fully():
         for x in w.alphabet:
             for i, j in combinations(range(1, n + 1), 2):
                 a, b = f"{x}@{i}", f"{x}@{j}"
-                assert alternates(out, a, b)
+                assert restriction_alternates(out, a, b)
                 assert len(restrict(out, {a, b})) == 2 * uniformity(out)
 
 

@@ -4,11 +4,11 @@ from itertools import combinations, permutations
 
 import pytest
 
+from conftest import restriction_alternates
 from wordrep import (
     Graph,
     NamingConflictError,
     Word,
-    alternates,
     cartesian_product,
     complete,
     cube,
@@ -33,11 +33,22 @@ def test_graph_normalizes_edges_and_validates():
     g = Graph(["a", "b", "c"], [("b", "a")])
     assert g.edges == {("a", "b")}
     assert g.adjacent("a", "b") and g.adjacent("b", "a")
-    assert g.neighbors("c") == frozenset()
+    assert not g.adjacent("a", "c") and not g.adjacent("c", "b")
     with pytest.raises(ValueError, match="self-loop"):
         Graph(["a"], [("a", "a")])
     with pytest.raises(ValueError, match="endpoint"):
         Graph(["a"], [("a", "b")])
+
+
+def test_adjacent_ignores_argument_order_and_unknown_names():
+    g = cycle(4)
+    # a name outside the graph is adjacent to nothing, in either position
+    assert not g.adjacent("1", "zz") and not g.adjacent("zz", "1")
+    assert not g.adjacent("zz", "yy")
+    names = [*g.names, "zz"]
+    for u in names:
+        for v in names:
+            assert g.adjacent(u, v) == g.adjacent(v, u) == ((min(u, v), max(u, v)) in g.edges)
 
 
 @pytest.mark.parametrize("nodes", [[1, "a"], ["a", None]])
@@ -85,7 +96,7 @@ def test_cycle_generator():
     assert cycle(4).edges == {("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")}
     assert cycle(3) == complete(3)
     g5 = cycle(5)
-    assert len(g5.edges) == 5 and all(g5.degree(v) == 2 for v in g5.nodes)
+    assert len(g5.edges) == 5 and all(m.bit_count() == 2 for m in g5.masks)
     with pytest.raises(ValueError):
         cycle(2)
 
@@ -95,7 +106,7 @@ def test_cube_generator():
     assert isomorphic(cube(2), cycle(4)) is not None
     g3 = cube(3)
     assert len(g3.nodes) == 8 and len(g3.edges) == 12
-    assert all(g3.degree(v) == 3 for v in g3.nodes)
+    assert all(m.bit_count() == 3 for m in g3.masks)
     assert g3.adjacent("000", "010") and not g3.adjacent("000", "011")
     with pytest.raises(ValueError):
         cube(0)
@@ -174,12 +185,6 @@ def test_represents_graph_of_word_round_trip():
         assert represents(w, graph_of_word(w))
 
 
-def restriction_alternates(letters, x, y):
-    """Pairwise oracle: the restriction to {x, y} has no two equal neighbours."""
-    kept = [t for t in letters if t == x or t == y]
-    return all(a != b for a, b in zip(kept, kept[1:]))
-
-
 def oracle_graph(w):
     names = sorted(set(w.letters))
     pairs = [(x, y) for x, y in combinations(names, 2) if restriction_alternates(w.letters, x, y)]
@@ -224,8 +229,8 @@ def test_sweep_matches_pairwise_oracle_on_nonuniform_words():
 
 
 def test_represents_agrees_with_pairwise_alternates_oracle():
-    # the oracle tests every pair with words.alternates; the graphs are the
-    # word's own graph with 0-3 pairs toggled
+    # the oracle tests every pair with restriction_alternates; the graphs
+    # are the word's own graph with 0-3 pairs toggled
     rng = random.Random(4242)
     toggles = set()
     for t in range(600):
@@ -238,12 +243,12 @@ def test_represents_agrees_with_pairwise_alternates_oracle():
             w = Word(letters)
         names = sorted(w.alphabet)
         pairs = list(combinations(names, 2))
-        edges = {(x, y) for x, y in pairs if alternates(w, x, y)}
+        edges = {(x, y) for x, y in pairs if restriction_alternates(w, x, y)}
         assert graph_of_word(w) == Graph(names, edges), w
         flips = set(rng.sample(pairs, min(len(pairs), rng.randint(0, 3))))
         toggles.add(len(flips))
         g = Graph(names, edges ^ flips)
-        oracle = all(alternates(w, x, y) == g.adjacent(x, y) for x, y in pairs)
+        oracle = all(restriction_alternates(w, x, y) == g.adjacent(x, y) for x, y in pairs)
         assert oracle == (not flips)
         assert represents(w, g) == oracle, (w, sorted(flips))
     assert toggles == {0, 1, 2, 3}

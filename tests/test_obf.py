@@ -12,8 +12,6 @@ from wordrep import (
     extend_uniform,
     graph_of_word,
     lemma1_concat,
-    obf_from_text,
-    obf_to_text,
     product_kn_functions,
     projection,
     uniformity,
@@ -62,8 +60,8 @@ def test_table_entries_outside_the_domain_are_rejected():
 
 def test_string_image_is_read_as_whitespace_separated_tokens():
     h = OccurrenceBasedFunction({"x"}, 2, {("x", 1): "x0", ("x", 2): " x1  x0 "})
-    assert h.image("x", 1) == ("x0",)
-    assert h.image("x", 2) == ("x1", "x0")
+    assert h.images["x"][0] == ("x0",)
+    assert h.images["x"][1] == ("x1", "x0")
     assert h == OccurrenceBasedFunction({"x"}, 2, {("x", 1): Word("x0"), ("x", 2): ["x1", "x0"]})
     with pytest.raises(ValueError, match="x@"):
         OccurrenceBasedFunction({"x"}, 1, {("x", 1): "x x@"})
@@ -84,14 +82,10 @@ def test_product_kn_functions_need_a_copy():
 
 def test_image_reads_the_rows_within_the_bound():
     h = OccurrenceBasedFunction({"a", "b"}, 2, {(x, i): (x,) * i for x in "ab" for i in (1, 2)})
-    assert h.image("a", 1) == ("a",)
-    assert h.image("b", 2) == ("b", "b")
+    assert h.images["a"][0] == ("a",)
+    assert h.images["b"][1] == ("b", "b")
     assert h.images == {"a": (("a",), ("a", "a")), "b": (("b",), ("b", "b"))}
-    assert h.domain == {"a", "b"}
-    # index 0 would wrap to the last image of a row
-    for x, i in (("a", 0), ("a", 3), ("b", -1), ("c", 1)):
-        with pytest.raises(KeyError):
-            h.image(x, i)
+    assert set(h.images) == {"a", "b"}
 
 
 def paper_copy_functions(alphabet, k, n, name):
@@ -119,7 +113,7 @@ def paper_copy_functions(alphabet, k, n, name):
 
 def assert_same_function(built, explicit, words):
     assert built == explicit and hash(built) == hash(explicit)
-    assert built.table == explicit.table and obf_to_text(built) == obf_to_text(explicit)
+    assert built.bound == explicit.bound and built.images == explicit.images
     assert all(len(row) == built.bound for row in built.images.values())
     for w in words:
         out = apply(built, w)
@@ -205,7 +199,7 @@ def test_apply_length_is_sum_of_image_lengths():
             {(x, i): [f"{x}_{j}" for j in range((int(x) + i) % 3)] for x in w.alphabet for i in range(1, k + 1)},
         )
         out = apply(h, w)
-        assert len(out) == sum(len(h.image(x, i)) for x, i in zip(w, occurrence_indices(w)))
+        assert len(out) == sum(len(h.images[x][i - 1]) for x, i in zip(w, occurrence_indices(w)))
 
 
 def test_projection_examples():
@@ -297,30 +291,3 @@ def test_extend_uniform_preserves_graph_and_bumps_uniformity():
         assert uniformity(out) == k + 1
         assert graph_of_word(out) == graph_of_word(w)
 
-
-def test_obf_text_round_trip():
-    f, g = product_kn_functions({"1", "2"}, 3, 2)
-    for h in (f, g):
-        text = obf_to_text(h)
-        assert text.startswith("k=3\n")
-        assert obf_from_text(text) == h
-
-
-def test_obf_text_parsing_errors():
-    with pytest.raises(ValueError, match="header"):
-        obf_from_text("a 1 -> a\n")
-    with pytest.raises(ValueError, match="'->'"):
-        obf_from_text("k=1\na 1 a\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        obf_from_text("k=1\na 1 -> a\na 1 -> b\n")
-    with pytest.raises(ValueError, match="not total"):
-        obf_from_text("k=2\na 1 -> a\n")
-    with pytest.raises(ValueError, match=r"\('a', 2\)"):
-        obf_from_text("k=1\na 1 -> a\na 2 -> b b\na 0 -> c")
-    with pytest.raises(ValueError, match=r"\('a', 0\)"):
-        obf_from_text("k=1\na 1 -> a\na 0 -> c")
-
-
-def test_obf_text_allows_empty_right_hand_side():
-    h = obf_from_text("k=2\nx 1 -> x\nx 2 ->\n")
-    assert h.image("x", 2) == ()

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from itertools import combinations, permutations
 
@@ -20,6 +21,7 @@ from wordrep import (
     represents,
     uniformity,
 )
+from wordrep import graphs, words
 from wordrep.search import _symmetry
 
 
@@ -207,3 +209,31 @@ def test_outcome_and_graph_json_share_one_payload():
         graph_json = graph_to_json(g)
         assert json.loads(outcome_to_json(is_k_representable(g, 1)))["graph"] == json.loads(graph_json)
         assert graph_from_json(graph_json) == g
+
+
+def test_search_validates_no_tokens(monkeypatch):
+    # the graph's names were validated when it was built; a leaf's
+    # candidate word is built from them unchecked, and represents still
+    # verifies every witness.  Every wordrep module holding the validator
+    # is patched, so a new importer cannot hide tokens from the count.
+    g = cube(3)
+    tokens = [0]
+    original = words._check_tokens
+
+    def counted(batch):
+        batch = list(batch)
+        tokens[0] += len(batch)
+        return original(batch)
+
+    holders = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original
+    ]
+    assert {words, graphs} <= set(holders)
+    for module in holders:
+        monkeypatch.setattr(module, "_check_tokens", counted)
+    outcome = is_k_representable(g, 3)
+    assert outcome.found and represents(outcome.word, g)
+    assert tokens[0] == 0
+    Word(str(outcome.word))  # the count is live: a parsed word's 8 distinct names
+    assert tokens[0] == 8

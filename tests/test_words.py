@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wordrep import Graph, Word, alternates, check_symbol, label, parse_words, restrict, uniformity, words
+from wordrep import Graph, Word, check_symbol, graph_of_word, parse_words, restrict, uniformity, words
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -17,6 +17,15 @@ def test_word_counts_and_alphabet():
     assert w.counts == {"1": 2, "2": 2, "3": 2, "4": 2}
     assert w.alphabet == {"1", "2", "3", "4"}
     assert len(w) == 8
+
+
+def test_word_letters_cannot_be_replaced():
+    w = Word("a b a b")
+    assert w.counts == {"a": 2, "b": 2}
+    with pytest.raises(AttributeError):
+        w.letters = ("c",)
+    assert w.letters == ("a", "b", "a", "b") and str(w) == "a b a b"
+    assert w.counts == {"a": 2, "b": 2}
 
 
 def test_word_concatenation_and_equality():
@@ -136,30 +145,9 @@ def test_restrict_composes_as_intersection():
         assert list(out.counts.items()) == list(Word(out.letters).counts.items())
 
 
-def test_alternates_examples():
-    assert alternates(SEED_WORD, "1", "2")
-    assert not alternates(SEED_WORD, "1", "3")
-    assert alternates(Word("x"), "x", "y")  # absent symbol: length-1 restriction
-    assert alternates(Word(), "x", "y")
-    assert not alternates(Word("x x"), "x", "y")
-
-
-def test_alternates_rejects_equal_symbols():
-    with pytest.raises(ValueError):
-        alternates(SEED_WORD, "1", "1")
-
-
-def test_alternates_is_symmetric():
-    rng = random.Random(5)
-    names = ["1", "2", "3", "4"]
-    for _ in range(200):
-        w = Word(rng.choices(names, k=rng.randint(0, 10)))
-        x, y = rng.sample(names, 2)
-        assert alternates(w, x, y) == alternates(w, y, x)
-
-
 def test_uniform_alternation_is_xy_power_or_yx_power():
-    # For a k-uniform word, an alternating pair restricts to (xy)^k or (yx)^k.
+    # For a k-uniform word, an alternating pair restricts to (xy)^k or
+    # (yx)^k: graph_of_word's sweep against the powers.
     rng = random.Random(23)
     for _ in range(100):
         k = rng.randint(1, 4)
@@ -170,7 +158,7 @@ def test_uniform_alternation_is_xy_power_or_yx_power():
         x, y = rng.sample(names, 2)
         r = restrict(w, {x, y})
         powers = (Word([x, y] * k), Word([y, x] * k))
-        assert alternates(w, x, y) == (r in powers)
+        assert graph_of_word(w).adjacent(x, y) == (r in powers)
 
 
 def test_uniformity_examples():
@@ -179,26 +167,6 @@ def test_uniformity_examples():
     assert uniformity(Word("1 1 2")) is None
     with pytest.raises(ValueError):
         uniformity(Word())
-
-
-def test_label_examples():
-    assert label(Word("1 2 1 2")) == (("1", 1), ("2", 1), ("1", 2), ("2", 2))
-    assert label(Word()) == ()
-    assert label(SEED_WORD) == (
-        ("3", 1), ("1", 1), ("4", 1), ("2", 1), ("1", 2), ("3", 2), ("2", 2), ("4", 2),
-    )
-
-
-def test_label_preserves_length_and_drops_back_to_word():
-    rng = random.Random(3)
-    for _ in range(100):
-        w = Word(rng.choices(["a", "b", "c"], k=rng.randint(0, 9)))
-        pairs = label(w)
-        assert len(pairs) == len(w)
-        assert Word(x for x, _ in pairs) == w
-        # per-symbol indices run 1, 2, 3, ... in order
-        for s in w.alphabet:
-            assert [i for x, i in pairs if x == s] == list(range(1, w.counts[s] + 1))
 
 
 def test_parse_words_skips_comments_and_blanks():
