@@ -31,7 +31,6 @@ from .graphs import (
     graph_of_word,
     graph_to_edges_text,
     graph_to_json,
-    isomorphic,
     load_graph,
     parse_graph,
     represents,
@@ -77,7 +76,6 @@ __all__ = [
     "graph_of_word",
     "graph_to_edges_text",
     "graph_to_json",
-    "isomorphic",
     "load_graph",
     "parse_graph",
     "represents",

@@ -27,10 +27,12 @@ is a new list at each depth.  A further copy of x repeats with every
 symbol outside since[x]: a neighbour there cuts the branch, and the
 non-neighbours there become broken.  The lex-leader cut asks _Symmetry,
 built once per graph and shared by every k, and only when a smaller free
-node has x's degree.  Each stack frame holds a placed letter x, the
-pairs it newly broke, the since list from before it and the iterator
-over the candidates at its position; popping a frame undoes the letter,
-and the search resumes with the candidate after x.
+node has x's degree; _Symmetry owns the one automorphism search, which
+looks for a single automorphism extending a partial map.  Each stack
+frame holds a placed letter x, the pairs it newly broke, the since list
+from before it and the iterator over the candidates at its position;
+popping a frame undoes the letter, and the search resumes with the
+candidate after x.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, _bits, _graph_payload, _maps, represents
+from .graphs import Graph, _bits, _graph_payload, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -91,11 +93,12 @@ class _Symmetry:
     """The lex-leader cut's state for one graph, shared by every k.
 
     twins[x] holds the nodes before x with x's degree, the only ones an
-    automorphism can map x to.  memo maps (placed, x) to whether some
+    automorphism can map x to, and of_degree maps each degree to the mask
+    of the nodes with it.  memo maps (placed, x) to whether some
     automorphism that fixes every placed node maps x to a smaller node.
     """
 
-    __slots__ = ("g", "twins", "memo")
+    __slots__ = ("g", "twins", "of_degree", "memo")
 
     def __init__(self, g: Graph):
         self.g = g
@@ -106,6 +109,7 @@ class _Symmetry:
             twins.append(seen.get(d, 0))
             seen[d] = twins[x] | 1 << x
         self.twins = twins
+        self.of_degree = seen
         self.memo: dict[tuple[int, int], bool] = {}
 
     def cuts(self, x: int, placed: int) -> bool:
@@ -114,8 +118,7 @@ class _Symmetry:
         key = (placed, x)
         cut = self.memo.get(key)
         if cut is None:
-            g = self.g
-            nbr = g.masks
+            nbr = self.g.masks
             cut = False
             for y in _bits(self.twins[x] & ~placed):
                 diff = nbr[x] ^ nbr[y]
@@ -125,12 +128,68 @@ class _Symmetry:
                 if diff & ~(1 << x | 1 << y):
                     start = {p: p for p in _bits(placed)}
                     start[x] = y
-                    if next(_maps(g, g, start), None) is None:
+                    if self.automorphism(start) is None:
                         continue
                 cut = True
                 break
             self.memo[key] = cut
         return cut
+
+    def automorphism(self, start: dict[int, int]) -> dict[int, int] | None:
+        """The first automorphism of the graph that extends the nonempty
+        partial map ``start``, as a dict from node position to image
+        position, or None; None also when ``start`` itself breaks adjacency.
+
+        Backtracking on an explicit stack: the nodes of ``start`` are
+        mapped first, in its order and only to their given images, then
+        the other nodes, each time the one with the most mapped neighbours
+        (the smallest on a tie), so that adjacency constraints bite early.
+        Node a may go to an unused b of a's degree iff b's neighbours among
+        the used images are exactly the images of a's mapped neighbours:
+        one mask compare, nbr[b] & used == want.
+        """
+        nbr, of_degree = self.g.masks, self.of_degree
+        order = list(start)
+        mapped = sum(1 << a for a in order)
+        rest = set(range(len(nbr))).difference(order)
+        while rest:
+            a = min(rest, key=lambda i: (-(nbr[i] & mapped).bit_count(), i))
+            order.append(a)
+            mapped |= 1 << a
+            rest.remove(a)
+        image: dict[int, int] = {}
+        done = used = 0  # masks of the mapped nodes and of their images
+
+        def options(a: int) -> Iterator[int]:
+            want = 0
+            for a2 in _bits(nbr[a] & done):
+                want |= 1 << image[a2]
+            free = of_degree[nbr[a].bit_count()] & ~used
+            if a in start:
+                free &= 1 << start[a]
+            return iter([b for b in _bits(free) if nbr[b] & used == want])
+
+        stack: list[Iterator[int]] = []
+        candidates = options(order[0])
+        while True:
+            b = next(candidates, None)
+            if b is None:
+                # no image left for this node: unmap the one before it
+                if not stack:
+                    return None
+                candidates = stack.pop()
+                a = order[len(stack)]
+                done ^= 1 << a
+                used ^= 1 << image.pop(a)
+                continue
+            a = order[len(stack)]
+            image[a] = b
+            done |= 1 << a
+            used |= 1 << b
+            stack.append(candidates)
+            if len(stack) == len(order):
+                return image
+            candidates = options(order[len(stack)])
 
 
 @lru_cache(maxsize=1)

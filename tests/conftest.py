@@ -1,9 +1,12 @@
 """Shared test plumbing: caps each test's run time, collects
 acceptance-criterion verdicts to print one line per criterion in the
-terminal summary, and holds the tests' one pairwise alternation oracle."""
+terminal summary, and holds the tests' one pairwise alternation oracle,
+their reference search and a graph relabelling."""
 import signal
 
 import pytest
+
+from wordrep import Graph, Word
 
 TEST_SECONDS = 60  # the slowest test takes under 3 s
 
@@ -41,6 +44,46 @@ def restriction_alternates(letters, x, y):
     token sequence ``letters`` to {x, y} has no two equal neighbours."""
     kept = [t for t in letters if t == x or t == y]
     return all(a != b for a, b in zip(kept, kept[1:]))
+
+
+def reference_search(g, k):
+    """Reference search written from the definition, in the same
+    lexicographic order: a branch dies only when an edge pair stops
+    alternating, or when a non-edge pair still alternates with both symbols
+    complete, and every first letter is tried.  Returns (word or None,
+    explored), counting placements that pass the edge check."""
+    names = sorted(g.nodes)
+    word, counts, explored = [], dict.fromkeys(names, 0), 0
+
+    def repeats(x, u):
+        r = [c for c in word if c in (x, u)]
+        return any(a == b for a, b in zip(r, r[1:]))
+
+    def descend():
+        nonlocal explored
+        if len(word) == len(names) * k:
+            return True
+        for x in names:
+            if counts[x] == k:
+                continue
+            word.append(x)
+            counts[x] += 1
+            if not any(repeats(x, u) for u in names if g.adjacent(x, u)):
+                explored += 1
+                if all(counts[u] < k or repeats(x, u) for u in names
+                       if counts[x] == k and u != x and not g.adjacent(x, u)) and descend():
+                    return True
+            word.pop()
+            counts[x] -= 1
+        return False
+
+    return (Word(word) if descend() else None), explored
+
+
+def relabel(g, mapping):
+    """The graph g with each node v renamed mapping[v]; compared with ==,
+    it checks an isomorphism name-exactly."""
+    return Graph([mapping[v] for v in g.nodes], [(mapping[u], mapping[v]) for u, v in g.edges])
 
 
 def record_criterion(number: int, description: str, passed: bool) -> None:

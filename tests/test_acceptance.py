@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import record_criterion, restriction_alternates
+from conftest import record_criterion, reference_search, restriction_alternates
 from wordrep import (
     ChainConditionError,
     Graph,
@@ -162,40 +162,6 @@ def test_diagonal_alternation_identity():
                         a, b = f"{x}@{i}", f"{x}@{j}"
                         assert restriction_alternates(out, a, b), f"{a}, {b} in {out}"
                         assert len(restrict(out, {a, b})) == 2 * k_out
-
-
-def reference_search(g, k):
-    """Reference search written from the definition, in the same
-    lexicographic order: a branch dies only when an edge pair stops
-    alternating, or when a non-edge pair still alternates with both symbols
-    complete, and every first letter is tried.  Returns (word or None,
-    explored), counting placements that pass the edge check."""
-    names = sorted(g.nodes)
-    word, counts, explored = [], dict.fromkeys(names, 0), 0
-
-    def repeats(x, u):
-        r = [c for c in word if c in (x, u)]
-        return any(a == b for a, b in zip(r, r[1:]))
-
-    def descend():
-        nonlocal explored
-        if len(word) == len(names) * k:
-            return True
-        for x in names:
-            if counts[x] == k:
-                continue
-            word.append(x)
-            counts[x] += 1
-            if not any(repeats(x, u) for u in names if g.adjacent(x, u)):
-                explored += 1
-                if all(counts[u] < k or repeats(x, u) for u in names
-                       if counts[x] == k and u != x and not g.adjacent(x, u)) and descend():
-                    return True
-            word.pop()
-            counts[x] -= 1
-        return False
-
-    return (Word(word) if descend() else None), explored
 
 
 @criterion(7, "the search matches an independent reference search in result and witness word "

@@ -495,7 +495,7 @@ def test_public_surface_is_pinned():
         "apply", "cartesian_product", "check_symbol", "complete", "complete_word",
         "cube", "cube_word", "cycle", "cycle_word", "extend_uniform",
         "graph_from_edges_text", "graph_from_json", "graph_of_word",
-        "graph_to_edges_text", "graph_to_json", "is_k_representable", "isomorphic",
+        "graph_to_edges_text", "graph_to_json", "is_k_representable",
         "lemma1_concat", "load_graph", "outcome_to_json", "parse_graph", "parse_words",
         "prism_word", "product_k2_word", "product_kn_functions", "product_kn_word",
         "projection", "representation_number", "represents", "restrict", "uniformity",

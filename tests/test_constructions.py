@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import restriction_alternates
+from conftest import relabel, restriction_alternates
 from wordrep import constructions, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
@@ -19,7 +19,6 @@ from wordrep import (
     cycle,
     cycle_word,
     graph_of_word,
-    isomorphic,
     prism_word,
     product_k2_word,
     product_kn_word,
@@ -104,7 +103,9 @@ def test_product_kn_word_k2_n3_is_three_prism():
     assert uniformity(out) == 4 and len(out.alphabet) == 6
     expected = cartesian_product(complete(2), complete(3))
     assert graph_of_word(out) == expected
-    assert isomorphic(expected, cartesian_product(cycle(3), complete(2))) is not None
+    # the factors swapped: a@b -> b@a
+    swapped = {f"{a}@{b}": f"{b}@{a}" for a in "12" for b in "123"}
+    assert relabel(expected, swapped) == cartesian_product(cycle(3), complete(2))
 
 
 def test_product_kn_word_per_node_counts():
@@ -192,7 +193,10 @@ def test_prism_word():
         assert uniformity(w) == 3
         assert represents(w, cartesian_product(cycle(n), complete(2)))
     # the 4-prism is the 3-cube in disguise
-    assert isomorphic(graph_of_word(prism_word(4)), cube(3)) is not None
+    # the 4-cycle 1 2 3 4 runs 00 01 11 10, and copy j of a node sets the last bit
+    corners = {"1": "00", "2": "01", "3": "11", "4": "10"}
+    names = {f"{i}@{j}": corners[i] + "01"[j - 1] for i in corners for j in (1, 2)}
+    assert relabel(graph_of_word(prism_word(4)), names) == cube(3)
 
 
 def sha256(w):

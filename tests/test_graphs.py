@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import restriction_alternates
+from conftest import relabel, restriction_alternates
 from wordrep import (
     Graph,
     NamingConflictError,
@@ -19,12 +19,11 @@ from wordrep import (
     graph_of_word,
     graph_to_edges_text,
     graph_to_json,
-    isomorphic,
     load_graph,
     parse_graph,
     represents,
 )
-from wordrep.graphs import _maps
+from wordrep.search import _Symmetry
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -102,8 +101,8 @@ def test_cycle_generator():
 
 
 def test_cube_generator():
-    assert isomorphic(cube(1), complete(2)) is not None
-    assert isomorphic(cube(2), cycle(4)) is not None
+    assert relabel(cube(1), {"0": "1", "1": "2"}) == complete(2)
+    assert relabel(cube(2), {"00": "1", "01": "2", "11": "3", "10": "4"}) == cycle(4)
     g3 = cube(3)
     assert len(g3.nodes) == 8 and len(g3.edges) == 12
     assert all(m.bit_count() == 3 for m in g3.masks)
@@ -113,11 +112,12 @@ def test_cube_generator():
 
 
 def test_cartesian_product_examples():
-    assert isomorphic(cartesian_product(complete(2), complete(2)), cycle(4)) is not None
+    square = {"1@1": "1", "1@2": "2", "2@2": "3", "2@1": "4"}
+    assert relabel(cartesian_product(complete(2), complete(2)), square) == cycle(4)
     prism = cartesian_product(cycle(3), complete(2))
     assert len(prism.nodes) == 6 and len(prism.edges) == 9
     g = cycle(5)
-    assert isomorphic(cartesian_product(g, complete(1)), g) is not None
+    assert relabel(cartesian_product(g, complete(1)), {f"{v}@1": v for v in g.nodes}) == g
 
 
 def test_cartesian_product_counts():
@@ -144,8 +144,10 @@ def test_cartesian_product_naming_conflict():
 
 
 def test_cube_is_iterated_product_with_k2():
+    # x@1 -> x0 and x@2 -> x1: the K2 factor is the last bit
     for k in (2, 3, 4):
-        assert isomorphic(cube(k), cartesian_product(cube(k - 1), complete(2))) is not None
+        names = {f"{x}@{j}": x + "01"[j - 1] for x in cube(k - 1).nodes for j in (1, 2)}
+        assert relabel(cartesian_product(cube(k - 1), complete(2)), names) == cube(k)
 
 
 def test_graph_of_word_examples():
@@ -265,43 +267,39 @@ def test_cube_12_verifies_in_linear_time():
     assert time.perf_counter() - started < 20.0
 
 
-def test_isomorphic_identity_and_absence():
-    g = cartesian_product(cycle(3), complete(2))
-    assert isomorphic(g, g) == {v: v for v in g.nodes}
-    assert isomorphic(complete(3), cycle(4)) is None
-    assert isomorphic(cycle(4), complete(4)) is None  # same sizes, different edge counts
-    assert isomorphic(cycle(6), cartesian_product(complete(3), complete(2))) is None
-
-
 def test_maps_agree_with_a_permutation_oracle():
-    # on every labelled graph of at most 5 nodes: the maps of g onto itself
-    # are exactly the permutations that preserve adjacency, and one that
-    # fixes a set and sends x to y exists iff _maps extends that partial map
+    # the lex-leader cut's automorphism search against the permutations
+    # that preserve adjacency, on every labelled graph of at most 5 nodes:
+    # one that fixes a set and sends x to y exists iff the search extends
+    # that partial map, and on at most 4 nodes a full permutation comes
+    # back iff it preserves adjacency; every map returned is an
+    # automorphism that extends its start
     for size in range(1, 6):
         names = [str(i) for i in range(1, size + 1)]
         pairs = list(combinations(names, 2))
         for edges in range(2 ** len(pairs)):
             g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
+            sym = _Symmetry(g)
             nbr = [{j for j in range(size) if m >> j & 1} for m in g.masks]
             auts = {p for p in permutations(range(size))
                     if all({p[j] for j in nbr[a]} == nbr[p[a]] for a in range(size))}
-            assert {tuple(m[a] for a in range(size)) for m in _maps(g, g, {})} == auts
+
+            def found(start):
+                image = sym.automorphism(start)
+                if image is not None:
+                    assert all(image[a] == b for a, b in start.items()), (sorted(g.edges), start)
+                    assert tuple(image[a] for a in range(size)) in auts, (sorted(g.edges), start)
+                return image is not None
+
+            if size <= 4:
+                for p in permutations(range(size)):
+                    assert found(dict(enumerate(p))) == (p in auts), (sorted(g.edges), p)
             for fixed in range(2 ** size):
                 stay = {a: a for a in range(size) if fixed >> a & 1}
                 # the inverse sends y back to x, so the pairs y < x cover every pair
                 for y, x in combinations([a for a in range(size) if a not in stay], 2):
-                    found = next(_maps(g, g, {**stay, x: y}), None)
                     expected = any(p[x] == y and all(p[a] == a for a in stay) for p in auts)
-                    assert (found is not None) == expected, (sorted(g.edges), sorted(stay), x, y)
-                    assert found is None or (found[x] == y and tuple(found[a] for a in range(size)) in auts)
-
-
-def test_isomorphic_mapping_preserves_adjacency():
-    g, h = cube(2), cycle(4)
-    phi = isomorphic(g, h)
-    assert phi is not None and sorted(phi.values()) == sorted(h.nodes)
-    for u, v in combinations(g.nodes, 2):
-        assert g.adjacent(u, v) == h.adjacent(phi[u], phi[v])
+                    assert found({**stay, x: y}) == expected, (sorted(g.edges), sorted(stay), x, y)
 
 
 def test_edges_text_round_trip():

@@ -1,10 +1,12 @@
 import json
+import random
 import sys
 import time
 from itertools import combinations, permutations
 
 import pytest
 
+from conftest import reference_search
 from wordrep import (
     Graph,
     Word,
@@ -170,6 +172,23 @@ def test_pinned_small_graph_totals():
     graphs = [g for size in range(1, 6) for g in all_graphs(size)]
     total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2))
     assert (len(graphs), total) == (1_099, 21_672)
+
+
+def test_search_matches_reference_on_six_node_graphs():
+    # the lex-leader cut where criterion 7 does not reach: 300 random
+    # 6-node graphs at k = 2 give the same result and witness word as the
+    # reference search, which has no symmetry cut.  A cut that skipped the
+    # automorphism search after the placed-neighbour prefilter passes
+    # criterion 7 but fails here (edge mask 10135 would exhaust).
+    rng = random.Random(5)
+    names = [str(i) for i in range(1, 7)]
+    pairs = list(combinations(names, 2))
+    for _ in range(300):
+        edges = rng.getrandbits(len(pairs))
+        g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
+        ref_word, _ = reference_search(g, 2)
+        o = is_k_representable(g, 2)
+        assert (o.result, o.word) == ("exhausted" if ref_word is None else "witness", ref_word), edges
 
 
 def test_witness_extends_to_higher_uniformity():
