@@ -21,7 +21,6 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
-    _mismatch_rows,
     cartesian_product,
     complete,
     cube,
@@ -101,23 +100,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def _explain_mismatch(w: Word, g: Graph) -> str:
     """The first pair in name order that alternates in ``w`` iff it is no
-    edge of g, read off the sweep that :func:`represents` runs."""
-    alpha = w.alphabet
-    if alpha != g.nodes:
-        missing = sorted(g.nodes - alpha)
-        extra = sorted(alpha - g.nodes)
+    edge of g: the first row where the masks of ``w``'s graph and of g
+    differ, and the lowest bit of their difference there."""
+    alpha, nodes = w.alphabet, g.nodes
+    if alpha != nodes:
+        missing = sorted(nodes - alpha)
+        extra = sorted(alpha - nodes)
         parts = []
         if missing:
             parts.append(f"graph nodes missing from the word: {' '.join(missing)}")
         if extra:
             parts.append(f"word symbols not in the graph: {' '.join(extra)}")
         return "; ".join(parts)
-    # wrong[i]: the later-starting partners j of g.names[i] whose pair mismatches
-    wrong = list(_mismatch_rows(w, g))
-    later_members = functools.reduce(int.__or__, wrong, 0)
-    i = next(i for i, row in enumerate(wrong) if row or later_members >> i & 1)
-    j = next(j for j in range(len(wrong)) if (wrong[i] >> j | wrong[j] >> i) & 1)
-    x, y = g.names[i], g.names[j]
+    # same names, so the rows line up; the first row that differs holds
+    # the pair's smaller node
+    i, diff = next((i, a ^ b) for i, (a, b) in enumerate(zip(graph_of_word(w).masks, g.masks)) if a != b)
+    x, y = g.names[i], g.names[(diff & -diff).bit_length() - 1]
     shape = "do not alternate but are an edge" if g.adjacent(x, y) else "alternate but are not an edge"
     return f"pair {{{x},{y}}}: restriction \"{restrict(w, {x, y})}\", letters {shape}"
 
@@ -146,7 +144,7 @@ def cmd_repnum(args: argparse.Namespace) -> int:
             return 0
         if outcome.result == "resource-limit":
             print(
-                f"error: query needs {len(g.nodes) * k} word positions, above the budget "
+                f"error: query needs {len(g.names) * k} word positions, above the budget "
                 f"of {args.budget}; raise the budget explicitly to run it",
                 file=sys.stderr,
             )
@@ -181,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Word-representable graphs: constructions, checking, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the k-cube has 2^k nodes: time and memory about double per dimension
+    # the k-cube has 2^k nodes: time about doubles per dimension, and the
+    # cube graph's masks grow about 4x
     cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
     # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines.
     # The same bound caps the copies a construction makes of each node

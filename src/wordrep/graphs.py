@@ -1,16 +1,16 @@
 """Finite simple graphs, standard generators, Cartesian products, and the
 map from words to graphs via letter alternation.
 
-A graph is kept as an index: its sorted node names and one int adjacency
-mask per node.  Verification and the search read the masks directly; the
-edge set is built from them only when asked for.  Graph equality is
-name-sensitive: two graphs are equal only with the same names and edges.
+A graph is kept as an index and nothing else: its sorted node names and
+one int adjacency mask per node.  Verification, the serializers and the
+search read the masks; the node and edge sets are built from the index
+each time they are asked for.  Graph equality is name-sensitive: two
+graphs are equal only with the same names and edges.
 Product nodes are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import accumulate, chain, combinations, product
 from operator import or_
 from collections.abc import Iterable, Iterator
@@ -26,17 +26,16 @@ class Graph:
     """Immutable simple undirected graph over string-named nodes, kept as an
     index: ``names`` is the sorted tuple of node names, ``index`` maps each
     name to its position there, and ``masks[i]`` is the int bitmask of the
-    positions adjacent to ``names[i]``.  ``nodes`` is the frozenset of names;
-    ``edges``, the frozenset of (u, v) pairs with u < v, is built from the
-    masks on first use and kept."""
+    positions adjacent to ``names[i]``.  ``nodes``, the frozenset of names,
+    and ``edges``, the frozenset of (u, v) pairs with u < v, are built from
+    the index each time they are read."""
 
-    __slots__ = ("nodes", "names", "index", "masks", "_edges")
+    __slots__ = ("names", "index", "masks")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         nodes = list(nodes)
         _check_tokens(nodes)  # before sorting, which raises TypeError on a non-str
-        self.nodes = frozenset(nodes)
-        self.names = tuple(sorted(self.nodes))
+        self.names = tuple(sorted(set(nodes)))
         self.index = index = {v: i for i, v in enumerate(self.names)}
         masks = [0] * len(index)
         for u, v in edges:
@@ -49,17 +48,14 @@ class Graph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         self.masks = tuple(masks)
-        self._edges = None
+
+    @property
+    def nodes(self) -> frozenset[str]:
+        return frozenset(self.names)
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        if self._edges is None:
-            names = self.names
-            self._edges = frozenset(
-                # m >> i << i keeps the neighbours after i: each edge once, as (u, v) with u < v
-                (names[i], names[j]) for i, m in enumerate(self.masks) for j in _bits(m >> i << i)
-            )
-        return self._edges
+        return frozenset(_edge_pairs(self))
 
     def adjacent(self, u: str, v: str) -> bool:
         """True iff u and v are adjacent; a name outside the graph is
@@ -79,6 +75,13 @@ class Graph:
 
 def _edge_count(g: Graph) -> int:
     return sum(m.bit_count() for m in g.masks) // 2
+
+
+def _edge_pairs(g: Graph) -> Iterator[tuple[str, str]]:
+    """Each edge once, as (u, v) with u < v, in name order: that of sorted(g.edges)."""
+    names = g.names
+    # m >> i << i keeps the neighbours after i
+    return ((names[i], names[j]) for i, m in enumerate(g.masks) for j in _bits(m >> i << i))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -116,7 +119,9 @@ def cube(k: int) -> Graph:
     return Graph(names, edges)
 
 
-MAX_CUBE_DIMENSION = 20  # k * 2^k word letters: time and memory about double per dimension
+# The k-cube word has k * 2^k letters, so its time about doubles per
+# dimension; the k-cube graph's masks take about 4^k / 8 bytes, 4x per dimension.
+MAX_CUBE_DIMENSION = 20
 # the largest product graph built: the 20-cube's 2^20 nodes and 20 * 2^19 edges
 MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << MAX_CUBE_DIMENSION, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
 
@@ -132,8 +137,9 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     names = {(a, b): f"{a}@{b}" for a in g.names for b in h.names}
     if len(set(names.values())) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")
-    edges = [(names[(a, u)], names[(a, v)]) for a in g.names for u, v in h.edges]
-    edges += [(names[(u, b)], names[(v, b)]) for u, v in g.edges for b in h.names]
+    h_edges = list(_edge_pairs(h))
+    edges = [(names[(a, u)], names[(a, v)]) for a in g.names for u, v in h_edges]
+    edges += [(names[(u, b)], names[(v, b)]) for u, v in _edge_pairs(g) for b in h.names]
     return Graph(names.values(), edges)
 
 
@@ -185,23 +191,18 @@ def represents(w: Word, g: Graph) -> bool:
     one O(|w|) sweep gives each symbol's alternation bitset, which is
     compared with its neighbours in g that first occur later in w.
     """
-    return w.alphabet == g.nodes and not any(_mismatch_rows(w, g))
-
-
-def _mismatch_rows(w: Word, g: Graph) -> Iterator[int]:
-    """For each node of g, in name order, the bitset of the nodes starting
-    later in ``w`` whose pair with it alternates in ``w`` exactly when it
-    is no edge of g; ``w`` must spell g's nodes."""
+    if w.counts.keys() != g.index.keys():
+        return False
     first = [g.index[x] for x in w.counts]  # first-occurrence order
     # upto[i]: the nodes whose first occurrence is not after that of node i
     upto = dict(zip(first, accumulate((1 << i for i in first), or_)))
     rows = _alternation_rows(w, g.index)
-    return (row ^ (mask & ~upto[i]) for i, (row, mask) in enumerate(zip(rows, g.masks)))
+    return all(row == mask & ~upto[i] for i, (row, mask) in enumerate(zip(rows, g.masks)))
 
 
 def graph_to_edges_text(g: Graph) -> str:
     """Edge-list form: one "u v" line per edge, then one line per isolated node."""
-    lines = [f"{u} {v}" for u, v in sorted(g.edges)]
+    lines = [f"{u} {v}" for u, v in _edge_pairs(g)]
     lines.extend(v for v, m in zip(g.names, g.masks) if not m)
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -221,14 +222,9 @@ def graph_from_edges_text(text: str) -> Graph:
     return Graph(dict.fromkeys(tokens), edges)
 
 
-@lru_cache(maxsize=1)
 def _graph_payload(g: Graph) -> dict[str, list]:
-    """The JSON object of ``g``, sorted, kept for the last graph (``repnum``
-    prints it once per k); callers must not modify it."""
-    return {
-        "nodes": list(g.names),
-        "edges": [[u, v] for u, v in sorted(g.edges)],
-    }
+    """The JSON object of ``g``: nodes and edges in name order."""
+    return {"nodes": list(g.names), "edges": [[u, v] for u, v in _edge_pairs(g)]}
 
 
 def graph_to_json(g: Graph) -> str:

@@ -26,13 +26,12 @@ x's last copy, which for a node not yet placed is the placed set.  since
 is a new list at each depth.  A further copy of x repeats with every
 symbol outside since[x]: a neighbour there cuts the branch, and the
 non-neighbours there become broken.  The lex-leader cut asks _Symmetry,
-built once per graph and shared by every k, and only when a smaller free
-node has x's degree; _Symmetry owns the one automorphism search, which
-looks for a single automorphism extending a partial map.  Each stack
-frame holds a placed letter x, the pairs it newly broke, the since list
-from before it and the iterator over the candidates at its position;
-popping a frame undoes the letter, and the search resumes with the
-candidate after x.
+built once per query, and only when a smaller free node has x's degree;
+_Symmetry owns the one automorphism search, which looks for a single
+automorphism extending a partial map.  Each stack frame holds a placed
+letter x, the pairs it newly broke, the since list from before it and
+the iterator over the candidates at its position; popping a frame undoes
+the letter, and the search resumes with the candidate after x.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ import json
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import Graph, _bits, _graph_payload, represents
 from .words import Word
@@ -90,12 +88,13 @@ def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
 
 
 class _Symmetry:
-    """The lex-leader cut's state for one graph, shared by every k.
+    """The lex-leader cut's state for one query on one graph.
 
     twins[x] holds the nodes before x with x's degree, the only ones an
     automorphism can map x to, and of_degree maps each degree to the mask
     of the nodes with it.  memo maps (placed, x) to whether some
-    automorphism that fixes every placed node maps x to a smaller node.
+    automorphism that fixes every placed node maps x to a smaller node;
+    it lives as long as the query.
     """
 
     __slots__ = ("g", "twins", "of_degree", "memo")
@@ -192,13 +191,6 @@ class _Symmetry:
             candidates = options(order[len(stack)])
 
 
-@lru_cache(maxsize=1)
-def _symmetry(g: Graph) -> _Symmetry:
-    """The cut's state for the last graph searched, so that a scan over k
-    (``repnum``) builds it once."""
-    return _Symmetry(g)
-
-
 def is_k_representable(
     g: Graph,
     k: int,
@@ -222,9 +214,9 @@ def is_k_representable(
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
-    if not g.nodes:
+    if not g.names:
         raise ValueError("search needs a graph with at least one node")
-    total = len(g.nodes) * k
+    total = len(g.names) * k
     if total > budget:
         return SearchOutcome(g, k, "resource-limit", None, 0, 0.0)
 
@@ -232,7 +224,7 @@ def is_k_representable(
     n = len(names)
     full = (1 << n) - 1
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
-    sym = _symmetry(g)
+    sym = _Symmetry(g)
     twins, cuts = sym.twins, sym.cuts
 
     counts = [0] * n

@@ -24,7 +24,7 @@ from wordrep import (
     uniformity,
 )
 from wordrep import graphs, words
-from wordrep.search import _symmetry
+from wordrep.search import _Symmetry
 
 
 def naive_k_representable(g, k):
@@ -98,15 +98,60 @@ def test_budget_signal():
     assert o.result == "resource-limit" and o.k == 2
 
 
-def test_deep_query_runs_past_the_recursion_limit():
+def test_deep_query_runs_past_the_recursion_limit(monkeypatch):
     # 1,400 word positions, deeper than Python's default recursion limit
     # of 1,000 frames
     g = complete(700)
+    calls = []
+    cuts = _Symmetry.cuts
+    monkeypatch.setattr(_Symmetry, "cuts", lambda self, x, placed: calls.append(x) or cuts(self, x, placed))
     o = is_k_representable(g, 2, budget=2000)
     assert o.found and uniformity(o.word) == 2 and represents(o.word, g)
     # each first copy placed is the smallest free node, so the symmetry cut
-    # never runs an automorphism search
-    assert _symmetry(g).memo == {}
+    # is never asked and never runs an automorphism search
+    assert calls == []
+
+
+def test_symmetry_agrees_with_a_permutation_oracle():
+    # the lex-leader cut against the permutations that preserve adjacency,
+    # on every labelled graph of at most 5 nodes: one that fixes a set and
+    # sends x to y exists iff the automorphism search extends that partial
+    # map, and on at most 4 nodes a full permutation comes back iff it
+    # preserves adjacency; every map returned is an automorphism that
+    # extends its start.  The cut itself, asked on a fresh object, holds
+    # for a free x iff one that fixes the placed set sends x to a smaller
+    # free node.
+    for size in range(1, 6):
+        names = [str(i) for i in range(1, size + 1)]
+        pairs = list(combinations(names, 2))
+        for edges in range(2 ** len(pairs)):
+            g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
+            sym = _Symmetry(g)
+            nbr = [{j for j in range(size) if m >> j & 1} for m in g.masks]
+            auts = {p for p in permutations(range(size))
+                    if all({p[j] for j in nbr[a]} == nbr[p[a]] for a in range(size))}
+
+            def found(start):
+                image = sym.automorphism(start)
+                if image is not None:
+                    assert all(image[a] == b for a, b in start.items()), (sorted(g.edges), start)
+                    assert tuple(image[a] for a in range(size)) in auts, (sorted(g.edges), start)
+                return image is not None
+
+            if size <= 4:
+                for p in permutations(range(size)):
+                    assert found(dict(enumerate(p))) == (p in auts), (sorted(g.edges), p)
+            cut = _Symmetry(g)
+            for fixed in range(2 ** size):
+                stay = {a: a for a in range(size) if fixed >> a & 1}
+                for x in range(size):
+                    if x not in stay:
+                        expected = any(p[x] < x and all(p[a] == a for a in stay) for p in auts)
+                        assert cut.cuts(x, fixed) == expected, (sorted(g.edges), sorted(stay), x)
+                # the inverse sends y back to x, so the pairs y < x cover every pair
+                for y, x in combinations([a for a in range(size) if a not in stay], 2):
+                    expected = any(p[x] == y and all(p[a] == a for a in stay) for p in auts)
+                    assert found({**stay, x: y}) == expected, (sorted(g.edges), sorted(stay), x, y)
 
 
 def test_input_validation():
@@ -222,8 +267,8 @@ def test_outcome_json_shape_and_determinism():
 
 
 def test_outcome_and_graph_json_share_one_payload():
-    # the payload is kept for the last graph only; switching graphs back
-    # and forth must give each graph its own nodes and edges
+    # an outcome carries the same graph object that graph_to_json writes,
+    # for each graph in turn
     for g in (cycle(4), complete(3), cycle(4), complete(3)):
         graph_json = graph_to_json(g)
         assert json.loads(outcome_to_json(is_k_representable(g, 1)))["graph"] == json.loads(graph_json)
