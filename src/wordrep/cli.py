@@ -32,7 +32,7 @@ from .graphs import (
     parse_graph,
     represents,
 )
-from .search import DEFAULT_BUDGET, is_k_representable, outcome_to_json
+from .search import DEFAULT_BUDGET, outcome_to_json, representation_number
 from .words import Word, parse_words, restrict
 
 
@@ -135,20 +135,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_repnum(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.graph)
-    for k in range(1, args.max_k + 1):
-        outcome = is_k_representable(g, k, budget=args.budget)
+    for outcome in representation_number(g, args.max_k, budget=args.budget):
         print(outcome_to_json(outcome, timings=args.timings))
-        if outcome.found:
-            print(f"representation number: {k}")
-            print(f"witness: {outcome.word}")
-            return 0
-        if outcome.result == "resource-limit":
-            print(
-                f"error: query needs {len(g.names) * k} word positions, above the budget "
-                f"of {args.budget}; raise the budget explicitly to run it",
-                file=sys.stderr,
-            )
-            return 2
+    if outcome.found:
+        print(f"representation number: {outcome.k}")
+        print(f"witness: {outcome.word}")
+        return 0
+    if outcome.result == "resource-limit":
+        print(
+            f"error: query needs {len(g.names) * outcome.k} word positions, above the budget "
+            f"of {args.budget}; raise the budget explicitly to run it",
+            file=sys.stderr,
+        )
+        return 2
     print(f"representation number: unknown above k = {args.max_k}")
     return 1
 
@@ -179,8 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Word-representable graphs: constructions, checking, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the k-cube has 2^k nodes: time about doubles per dimension, and the
-    # cube graph's masks grow about 4x
+    # the k-cube has 2^k nodes: building its word about doubles in time per
+    # dimension, and --verify grows 2-3.5x in time and memory, rising toward 4x
     cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
     # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines.
     # The same bound caps the copies a construction makes of each node
@@ -248,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # str() of a MemoryError is usually empty
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

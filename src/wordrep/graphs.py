@@ -119,8 +119,9 @@ def cube(k: int) -> Graph:
     return Graph(names, edges)
 
 
-# The k-cube word has k * 2^k letters, so its time about doubles per
-# dimension; the k-cube graph's masks take about 4^k / 8 bytes, 4x per dimension.
+# The k-cube word has k * 2^k letters, so building it about doubles in time
+# per dimension; the k-cube graph's masks take about 4^k / 8 bytes, so
+# verifying it grows 2-3.5x in time and memory per dimension, rising toward 4x.
 MAX_CUBE_DIMENSION = 20
 # the largest product graph built: the 20-cube's 2^20 nodes and 20 * 2^19 edges
 MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << MAX_CUBE_DIMENSION, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1

@@ -309,14 +309,14 @@ def representation_number(
     k_max: int,
     *,
     budget: int = DEFAULT_BUDGET,
-) -> SearchOutcome:
-    """Scan k = 1..k_max and return the outcome that settles the scan: the
-    witness at the smallest k, the resource-limit outcome that stopped it,
-    or the exhaustion at k_max."""
+) -> Iterator[SearchOutcome]:
+    """Scan k = 1, 2, ..., yielding each k's outcome, and stop after the
+    first that is not "exhausted" (the witness at the smallest k, or the
+    resource-limit outcome that refused a query) or after k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
     for k in range(1, k_max + 1):
         outcome = is_k_representable(g, k, budget=budget)
+        yield outcome
         if outcome.result != "exhausted":
-            break
-    return outcome
+            return

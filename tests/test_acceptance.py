@@ -138,7 +138,7 @@ def test_complete_product_representation_numbers():
     started = time.perf_counter()
     for n, expected in ((1, 1), (2, 2), (3, 3)):
         g = cartesian_product(complete(n), complete(2))
-        o = representation_number(g, 3)
+        *_, o = representation_number(g, 3)
         assert o.found and o.k == expected, f"n={n}"
     # the n = 3 case above includes exhausting k = 2 on the 3-prism
     prism = cartesian_product(complete(3), complete(2))

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from wordrep import Graph, Word, constructions, cube, cube_word, graph_from_edges_text, graph_of_word, graphs, represents
+from wordrep import (Graph, Word, cartesian_product, complete, constructions, cube, cube_word, cycle,
+                     graph_from_edges_text, graph_of_word, graph_to_edges_text, graphs, outcome_to_json,
+                     representation_number, represents, search)
 from wordrep.cli import _build_parser, _explain_mismatch, main
 
 
@@ -124,6 +126,16 @@ def test_construct_cube_and_verify(capsys):
     assert code == 0
     word = Word(out)
     assert len(word) == 64 and represents(word, cube(4))
+
+
+def test_out_of_memory_is_one_error_line_and_exit_2(capsys, monkeypatch):
+    # the verification sweep is where construct cube -k 15 --verify ran out
+    # of memory under a 250 MB address-space cap
+    def out_of_memory(w, g):
+        raise MemoryError
+
+    monkeypatch.setattr("wordrep.cli.represents", out_of_memory)
+    assert run(capsys, ["construct", "cube", "-k", "3", "--verify"]) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("argv", [["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"],
@@ -340,6 +352,26 @@ def test_repnum_finds_three_prism_number(capsys, tmp_path):
     assert "representation number: 3" in lines
     witness = Word(outcomes[-1]["word"])
     assert represents(witness, graph_from_edges_text(graph_file.read_text()))
+
+
+@pytest.mark.parametrize("g, max_k, budget, code, queries", [
+    (cartesian_product(complete(3), complete(2)), 3, 24, 0, [1, 2, 3]),
+    (cycle(4), 1, 24, 1, [1]),
+    # refused at k = 2: the scan stops there and asks nothing at k = 3..5
+    (cube(3), 5, 8, 2, [1, 2]),
+], ids=["K3xK2", "C4", "Q3-refused"])
+def test_repnum_prints_each_outcome_the_scan_yields(capsys, monkeypatch, tmp_path, g, max_k, budget, code, queries):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(graph_to_edges_text(g))
+    expected = [outcome_to_json(o) for o in representation_number(g, max_k, budget=budget)]
+    asked = []
+    query = search.is_k_representable
+    monkeypatch.setattr(search, "is_k_representable", lambda graph, k, **kw: asked.append(k) or query(graph, k, **kw))
+    got, out, _ = run(capsys, ["repnum", str(graph_file), "--max-k", str(max_k), "--budget", str(budget)])
+    lines = out.splitlines()
+    assert got == code and asked == queries
+    assert len(expected) == len(queries) and lines[:len(expected)] == expected
+    assert not any(ln.startswith("{") for ln in lines[len(expected):])
 
 
 def test_repnum_unknown_above_bound(capsys, tmp_path):

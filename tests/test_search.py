@@ -72,16 +72,16 @@ def test_three_prism_not_2_representable():
 def test_representation_number_of_complete_products():
     for n, expected in ((1, 1), (2, 2), (3, 3)):
         g = cartesian_product(complete(n), complete(2))
-        o = representation_number(g, 3)
+        *_, o = representation_number(g, 3)
         assert o.found and o.k == expected
-    o = representation_number(complete(5), 2)
+    *_, o = representation_number(complete(5), 2)
     assert o.found and o.k == 1
-    o = representation_number(cube(2), 3)
+    *_, o = representation_number(cube(2), 3)
     assert o.found and o.k == 2 and represents(o.word, cube(2))
 
 
 def test_representation_number_unknown_within_bound():
-    o = representation_number(cartesian_product(complete(3), complete(2)), 2)
+    *_, o = representation_number(cartesian_product(complete(3), complete(2)), 2)
     assert (o.result, o.k, o.word) == ("exhausted", 2, None)
 
 
@@ -94,7 +94,7 @@ def test_budget_signal():
     assert is_k_representable(cycle(4), 2, budget=8).found
     # k = 1 fits an 8-position budget, k = 2 does not, and no 1-uniform
     # witness exists, so the bound is hit mid-scan
-    o = representation_number(cube(3), 2, budget=8)
+    *_, o = representation_number(cube(3), 2, budget=8)
     assert o.result == "resource-limit" and o.k == 2
 
 
@@ -160,7 +160,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         is_k_representable(Graph([]), 1)
     with pytest.raises(ValueError):
-        representation_number(complete(2), 0)
+        next(representation_number(complete(2), 0))
 
 
 def test_search_agrees_with_naive_oracle():
