@@ -11,11 +11,22 @@ representant is again one.  A first copy of x is placed only if no
 automorphism that fixes every placed node maps x to a smaller node: it
 would map the smallest representant to a smaller one with the same
 prefix (the lex-leader cut of Crawford, Ginsberg, Luks & Roy, KR 1996).
-Every leaf reached then represents the graph, so the first one is the
+After these two cuts comes the triple cut: restricting a k-representant
+to three nodes gives a k-representant of the subgraph they induce
+(Kitaev & Lozin, Words and Graphs, 2015), so a prefix whose restriction
+to some triple cannot be completed to one is dead (path consistency,
+Mackworth 1977).  It follows the induced paths and the triples with a
+single edge.  Triangles are left out, since a restriction whose three
+pairs alternate, as the edge cut keeps them, always completes, and so
+are empty triples, which cut next to nothing.  Every leaf
+reached then represents the graph, so the first one is the
 lexicographically smallest representant.  Every witness is re-checked
 with represents() before being returned, so no cut can produce a false
-positive.  The tests compare the search with a permutation oracle and
-with a reference search written from the definition.
+positive.  k = 1 needs no search: a 1-uniform word alternates on every
+pair, so only a complete graph has one, and any order of its nodes is
+one.  The tests compare the search with a permutation oracle and with a
+reference search written from the definition, and the triple cut's memo
+with every completion of every prefix.
 
 The state is a few int bitmasks over the positions of the graph's sorted
 names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
@@ -28,7 +39,12 @@ symbol outside since[x]: a neighbour there cuts the branch, and the
 non-neighbours there become broken.  The lex-leader cut asks _Symmetry,
 built once per query, and only when a smaller free node has x's degree;
 _Symmetry owns the one automorphism search, which looks for a single
-automorphism extending a partial map.  Each stack frame holds a placed
+automorphism extending a partial map.  codes[t] holds triple t's
+restriction as an int and member[x] the (triple, role) pairs of x, both
+built once per query by the triples module, and left empty when the
+query has more than triples.MAX_TRIPLES triples, counted first from the
+degrees.  The triple cut looks x's new codes up in triples.memo(k), one
+memo per k shared by all queries.  Each stack frame holds a placed
 letter x, the pairs it newly broke, the since list from before it and
 the iterator over the candidates at its position; popping a frame undoes
 the letter, and the search resumes with the candidate after x.
@@ -56,9 +72,10 @@ class SearchOutcome:
     and was refused without searching, so explored is 0).
 
     explored counts the letters placed: a placement is counted once it
-    passes the edge cut and the lex-leader cut and before the non-edge
-    lookahead, so a placement that the lookahead kills still counts, and
-    only the smallest node is tried as the first letter.
+    passes the edge cut, the lex-leader cut and the triple cut and before
+    the non-edge lookahead, so a placement that the lookahead kills still
+    counts, and only the smallest node is tried as the first letter.  A
+    k = 1 query is answered without search, with explored 0.
     """
 
     graph: Graph
@@ -207,10 +224,12 @@ def is_k_representable(
     representant starts with that node, and the smallest one does.  It
     places the first copy of a node only if no automorphism fixing the
     placed nodes maps it to a smaller free node (Crawford et al. 1996),
-    which the smallest representant meets at every prefix.  No cut
-    changes an answer or a witness.  A query that needs more than budget
-    word positions is refused: its outcome is "resource-limit" with
-    nothing explored.
+    which the smallest representant meets at every prefix.  It drops a
+    prefix whose restriction to an induced path or a single-edge triple
+    cannot be completed (Kitaev & Lozin 2015).  No cut changes an answer
+    or a witness, and k = 1 is answered without search: a witness iff g
+    is complete.  A query that needs more than budget word positions is
+    refused: its outcome is "resource-limit" with nothing explored.
     """
     if k < 1:
         raise ValueError(f"uniformity k must be positive, got {k}")
@@ -222,8 +241,23 @@ def is_k_representable(
 
     names, nbr = g.names, g.masks
     n = len(names)
+    if k == 1:
+        # a 1-uniform word has every pair alternate: it represents the
+        # graph iff the graph is complete, and then any order does
+        started = time.perf_counter()
+        word = Word._trusted(tuple(names))
+        if sum(m.bit_count() for m in nbr) == n * (n - 1) and represents(word, g):
+            return SearchOutcome(g, 1, "witness", word, 0, (time.perf_counter() - started) * 1000)
+        return SearchOutcome(g, 1, "exhausted", None, 0, (time.perf_counter() - started) * 1000)
+    # imported here, so that a command that never searches does not compile it
+    from . import triples
+
     full = (1 << n) - 1
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
+    codes, member = [], [()] * n
+    if triples.count(nbr) <= triples.MAX_TRIPLES:
+        codes, member = triples.build(nbr, non)
+    live = triples.memo(k)
     sym = _Symmetry(g)
     twins, cuts = sym.twins, sym.cuts
 
@@ -232,7 +266,8 @@ def is_k_representable(
     since = [0] * n
     ids = range(n)
     # one frame per placed letter x: (x, the pairs x newly broke, since
-    # from before x, the candidates not yet tried at x's position)
+    # from before x, the candidates not yet tried at x's position); x's
+    # triples get its digit when x is placed and lose it when x is popped
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []
 
     def flip(x: int, bit: int, pairs: int) -> None:
@@ -261,6 +296,9 @@ def is_k_representable(
             # a first copy: since[x] is the placed set
             elif twins[x] & ~since[x] and cuts(x, since[x]):
                 continue
+            roles = member[x]
+            if roles and not all([live[codes[t] << 2 | r] for t, r in roles]):
+                continue  # some triple's restriction has no completion
             bit = 1 << x
             if new:
                 flip(x, bit, new)
@@ -275,6 +313,8 @@ def is_k_representable(
                 if new:
                     flip(x, bit, new)
                 continue
+            for t, r in roles:
+                codes[t] = codes[t] << 2 | r
             stack.append((x, new, since, candidates))
             since = [s | bit for s in since]
             since[x] = 0
@@ -288,6 +328,8 @@ def is_k_representable(
             counts[x] -= 1
             if new:
                 flip(x, 1 << x, new)
+            for t, _ in member[x]:
+                codes[t] >>= 2
             continue
         if len(stack) < total:
             candidates = iter(ids)

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import reference_search
+from conftest import reference_search, restriction_alternates
 from wordrep import (
     Graph,
     Word,
@@ -23,8 +23,9 @@ from wordrep import (
     represents,
     uniformity,
 )
-from wordrep import graphs, words
+from wordrep import graphs, triples, words
 from wordrep.search import _Symmetry
+from wordrep.triples import _Live
 
 
 def naive_k_representable(g, k):
@@ -44,6 +45,21 @@ def all_graphs(size):
     pairs = list(combinations(names, 2))
     for mask in range(2 ** len(pairs)):
         yield Graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def wheel5():
+    # W5, hub 6 on the 5-cycle 1..5: the only 6-node graph with no representant
+    rim = [str(i) for i in range(1, 6)]
+    return Graph([*rim, "6"], [(v, "6") for v in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)])
+
+
+def path3():
+    return Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+
+
+def non_edges(g):
+    full = (1 << len(g.masks)) - 1
+    return [full & ~m & ~(1 << x) for x, m in enumerate(g.masks)]
 
 
 def test_witness_examples():
@@ -173,41 +189,62 @@ def test_search_agrees_with_naive_oracle():
 @pytest.mark.parametrize(
     "make, explored",
     [
-        (lambda: cartesian_product(complete(3), complete(2)), 343),
-        (lambda: cartesian_product(complete(4), complete(2)), 4_542),
-        (lambda: cube(3), 5_641),
+        (lambda: cartesian_product(complete(3), complete(2)), 25),
+        (lambda: cartesian_product(complete(4), complete(2)), 40),
+        (lambda: cube(3), 43),
+        (lambda: cartesian_product(cycle(5), complete(2)), 548),
+        (lambda: cartesian_product(path3(), complete(3)), 273),
     ],
-    ids=["K3xK2", "K4xK2", "Q3"],
+    ids=["K3xK2", "K4xK2", "Q3", "C5xK2", "P3xK3"],
 )
 def test_pinned_k2_exhaustion_counts(make, explored):
     # the k = 2 exhaustions behind the paper's lower bounds (K4xK2 is the
-    # 16-position one); explored counts do not depend on the machine, so a
-    # change to the pruning rules has to update them on purpose
+    # 16-position one), and two 20- and 18-position ones that took
+    # 1,408,741 and 138,566 explored before the triple cut; explored counts
+    # do not depend on the machine, so a change to the pruning rules has to
+    # update them on purpose
     o = is_k_representable(make(), 2)
     assert (o.result, o.explored) == ("exhausted", explored)
 
 
 def test_complete_graph_minus_its_last_edge_exhausts_at_once():
     # K_24 minus the edge between its two largest names ("8" and "9" in
-    # name order), 24 positions at k = 1: each prefix is a run of the
-    # 22 interchangeable nodes, so the symmetry cut tries only the first
-    # free one of them, and of "8" and "9" only "8", which the lookahead
-    # kills; without the cut the search walks the orders of the 22
+    # name order): k = 1 is answered without search, and at k = 2 (48
+    # positions) the smallest representant is found without a backtrack,
+    # one placement per letter
     names = complete(24).names
     g = Graph(names, [e for e in complete(24).edges if e != ("8", "9")])
     started = time.perf_counter()
     o = is_k_representable(g, 1)
-    assert (o.result, o.explored) == ("exhausted", 44)
+    assert (o.result, o.explored) == ("exhausted", 0)
+    o = is_k_representable(g, 2, budget=48)
+    assert (o.result, o.explored) == ("witness", 48)
     assert time.perf_counter() - started < 1
 
 
+def test_clique_joined_to_a_five_cycle_exhausts_at_once(monkeypatch):
+    # K7 joined to C5 (it contains W5, so it has no representant), 24
+    # positions at k = 2: the 7 clique nodes are interchangeable, so the
+    # lex-leader cut tries only the first free one of them at each first
+    # copy; without it the search explored 1,910,192 (36 s)
+    rim = [f"r{i}" for i in range(5)]
+    hub = [f"h{i}" for i in range(7)]
+    g = Graph(rim + hub, [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
+              + [(h, r) for h in hub for r in rim] + list(combinations(hub, 2)))
+    cut = []
+    cuts = _Symmetry.cuts
+    monkeypatch.setattr(_Symmetry, "cuts", lambda self, x, placed: cuts(self, x, placed) and not cut.append(x))
+    started = time.perf_counter()
+    o = is_k_representable(g, 2)
+    assert (o.result, o.explored) == ("exhausted", 427)
+    assert time.perf_counter() - started < 1
+    assert len(cut) > 100
+
+
 def test_pinned_wheel_counts():
-    # W5, hub 6 on the 5-cycle 1..5: the only 6-node graph with no representant
-    rim = [str(i) for i in range(1, 6)]
-    g = Graph([*rim, "6"], [(v, "6") for v in rim] + [(rim[i], rim[(i + 1) % 5]) for i in range(5)])
-    outcomes = [is_k_representable(g, k) for k in (1, 2, 3)]
+    outcomes = [is_k_representable(wheel5(), k) for k in (1, 2, 3)]
     assert {o.result for o in outcomes} == {"exhausted"}
-    assert [o.explored for o in outcomes] == [1, 339, 3_342]
+    assert [o.explored for o in outcomes] == [0, 25, 964]
 
 
 def test_pinned_small_graph_totals():
@@ -216,7 +253,90 @@ def test_pinned_small_graph_totals():
     # here even when every single answer stays the same
     graphs = [g for size in range(1, 6) for g in all_graphs(size)]
     total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2))
-    assert (len(graphs), total) == (1_099, 21_672)
+    assert (len(graphs), total) == (1_099, 11_388)
+
+
+def test_triple_count_and_triples_match_every_triple():
+    # on every labelled graph of at most 5 nodes the count read off the
+    # degrees is the number of triples with one or two edges, and the
+    # triples built are exactly those, each once, with its roles in place:
+    # a path 0 - 1 - 2, or an edge 0 - 1 and a node 2 adjacent to neither
+    for size in range(1, 6):
+        for g in all_graphs(size):
+            nbr = g.masks
+
+            def adjacent(a, b):
+                return bool(nbr[a] >> b & 1)
+
+            expected = {frozenset(t) for t in combinations(range(size), 3)
+                        if sum(adjacent(a, b) for a, b in combinations(t, 2)) in (1, 2)}
+            assert triples.count(nbr) == len(expected), sorted(g.edges)
+            codes, member = triples.build(nbr, non_edges(g))
+            roles = [{} for _ in codes]
+            for x, pairs in enumerate(member):
+                for t, r in pairs:
+                    roles[t][r] = x
+            built = [(codes[t], roles[t][0], roles[t][1], roles[t][2]) for t in range(len(codes))]
+            assert {frozenset(b[1:]) for b in built} == expected and len(built) == len(expected)
+            for shape, a, b, c in built:
+                assert adjacent(a, b) and adjacent(b, c) != (shape == triples.EDGE) and not adjacent(a, c)
+
+
+def test_triple_memo_matches_every_completion():
+    # a brute force over all completions: on each labelled 3-node graph
+    # with one or two edges, at k <= 3, a prefix's code is live in a fresh
+    # memo iff some k-uniform word that starts with the prefix represents
+    # the graph, by the pairwise oracle; triangles and empty triples get
+    # no triple at all
+    names = ["1", "2", "3"]
+    pairs = list(combinations(names, 2))
+    for edges in range(8):
+        g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
+        codes, member = triples.build(g.masks, non_edges(g))
+        if bin(edges).count("1") in (0, 3):
+            assert codes == []
+            continue
+        (code,) = codes
+        role = {names[x]: r for x in range(3) for _, r in member[x]}
+        for k in (1, 2, 3):
+            live = _Live(k)
+            words = set(permutations(names * k))
+            good = {w[:i] for w in words for i in range(3 * k + 1)
+                    if all(restriction_alternates(w, a, b) == g.adjacent(a, b) for a, b in pairs)}
+            for prefix in {w[:i] for w in words for i in range(3 * k + 1)}:
+                spelled = code
+                for x in prefix:
+                    spelled = spelled << 2 | role[x]
+                assert (live[spelled] is not None) == (prefix in good), (sorted(g.edges), k, prefix)
+
+
+def test_high_k_queries_answer_at_once(monkeypatch):
+    # with an empty memo, every labelled 3-node graph at k = 1..8 gives the
+    # reference search's result and witness, and W5 exhausts k = 4 (27,654
+    # explored before the triple cut), each in under 1 s
+    monkeypatch.setattr(triples, "_MEMOS", {})
+    for g in all_graphs(3):
+        for k in range(1, 9):
+            started = time.perf_counter()
+            o = is_k_representable(g, k)
+            assert time.perf_counter() - started < 1, (sorted(g.edges), k)
+            ref_word, _ = reference_search(g, k)
+            assert (o.result, o.word) == ("exhausted" if ref_word is None else "witness", ref_word)
+    started = time.perf_counter()
+    o = is_k_representable(wheel5(), 4)
+    assert time.perf_counter() - started < 1
+    assert (o.result, o.explored) == ("exhausted", 8_079)
+
+
+def test_triple_cut_is_off_above_max_triples(monkeypatch):
+    # above the bound no triple is built, and the search is the one without
+    # the triple cut: K3xK2 explores 343 at k = 2 instead of 25
+    g = cartesian_product(complete(3), complete(2))
+    assert triples.count(g.masks) == 18
+    monkeypatch.setattr(triples, "MAX_TRIPLES", 17)
+    monkeypatch.setattr(triples, "build", lambda nbr, non: pytest.fail("triples built"))
+    o = is_k_representable(g, 2)
+    assert (o.result, o.explored) == ("exhausted", 343)
 
 
 def test_search_matches_reference_on_six_node_graphs():
@@ -257,7 +377,7 @@ def test_outcome_json_shape_and_determinism():
         "k": 1,
         "result": "witness",
         "word": "1 2",
-        "explored": 2,
+        "explored": 0,
         "millis": 0,
     }
     timed = json.loads(outcome_to_json(o, timings=True))
