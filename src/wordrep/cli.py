@@ -75,8 +75,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "cube":
+        graph = cube(args.k) if args.verify else None  # refuses k > 17 before the word is built
         word = cube_word(args.k)
-        expected = lambda: cube(args.k)
+        expected = lambda: graph
     elif args.kind == "prism":
         word = prism_word(args.n)
         expected = lambda: cartesian_product(cycle(args.n), complete(2))
@@ -178,8 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Word-representable graphs: constructions, checking, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the k-cube has 2^k nodes: building its word about doubles in time per
-    # dimension, and --verify grows 2-3.5x in time and memory, rising toward 4x
+    # the k-cube has 2^k nodes: building its word grows 2-2.5x in time per
+    # dimension (k = 18: 13 s, 314 MB), while gen and --verify grow 2-4x in
+    # time and memory (k = 16 --verify: 11 s, 1.6 GB), and cube() refuses k > 17
     cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
     # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines.
     # The same bound caps the copies a construction makes of each node

@@ -1,17 +1,15 @@
 """Finite simple graphs, standard generators, Cartesian products, and the
 map from words to graphs via letter alternation.
 
-A graph is kept as an index and nothing else: its sorted node names and
-one int adjacency mask per node.  Verification, the serializers and the
-search read the masks; the node and edge sets are built from the index
-each time they are asked for.  Graph equality is name-sensitive: two
-graphs are equal only with the same names and edges.
-Product nodes are named "g@h" with '@' reserved for that purpose.
+A graph is kept as an index, built by ``_graph`` from node positions: its
+sorted node names and one int adjacency mask per node.  Graph equality is
+name-sensitive: equal graphs have the same names and edges.  Product nodes
+are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, compress, count, repeat
 from operator import or_
 from collections.abc import Iterable, Iterator
 
@@ -23,31 +21,16 @@ class NamingConflictError(ValueError):
 
 
 class Graph:
-    """Immutable simple undirected graph over string-named nodes, kept as an
-    index: ``names`` is the sorted tuple of node names, ``index`` maps each
-    name to its position there, and ``masks[i]`` is the int bitmask of the
-    positions adjacent to ``names[i]``.  ``nodes``, the frozenset of names,
-    and ``edges``, the frozenset of (u, v) pairs with u < v, are built from
-    the index each time they are read."""
+    """Immutable simple undirected graph over string-named nodes: ``names`` is the sorted tuple of node
+    names, ``index`` maps each name to its position there, and ``masks[i]`` is the int bitmask of the
+    positions adjacent to ``names[i]``.  ``nodes`` (names) and ``edges`` ((u, v) pairs with u < v) are
+    frozensets built from the index each time they are read."""
 
     __slots__ = ("names", "index", "masks")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        nodes = list(nodes)
-        _check_tokens(nodes)  # before sorting, which raises TypeError on a non-str
-        self.names = tuple(sorted(set(nodes)))
-        self.index = index = {v: i for i, v in enumerate(self.names)}
-        masks = [0] * len(index)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at {u!r} not allowed")
-            try:
-                i, j = index[u], index[v]
-            except KeyError:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set") from None
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        self.masks = tuple(masks)
+        g = _named(nodes, edges)
+        self.names, self.index, self.masks = g.names, g.index, g.masks
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -58,8 +41,7 @@ class Graph:
         return frozenset(_edge_pairs(self))
 
     def adjacent(self, u: str, v: str) -> bool:
-        """True iff u and v are adjacent; a name outside the graph is
-        adjacent to nothing, in either position."""
+        """True iff u and v are adjacent; a name outside the graph is adjacent to nothing."""
         i, j = self.index.get(u), self.index.get(v)
         return i is not None and j is not None and self.masks[i] >> j & 1 == 1
 
@@ -73,14 +55,49 @@ class Graph:
         return f"Graph({len(self.names)} nodes, {_edge_count(self)} edges)"
 
 
+def _graph(names: list[str], ends: Iterable[int] = (), masks: list[int] | None = None) -> Graph:
+    """The graph on ``names``, distinct valid names in any order, with an edge between the positions
+    of each two consecutive ``ends``: the names are sorted once, and the ends relabelled through one
+    rank list.  Names that are already sorted may come with their ``masks`` instead."""
+    index = dict(zip(sorted(names) if masks is None else names, range(len(names))))
+    if masks is None:
+        rank = list(map(index.__getitem__, names))
+        masks = [0] * len(names)
+        for i, j in zip(*[iter(ends)] * 2):
+            i, j = rank[i], rank[j]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    g = object.__new__(Graph)
+    g.names, g.index, g.masks = tuple(index), index, tuple(masks)
+    return g
+
+
+def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) -> Graph:
+    """The graph on ``nodes``, names in input order, whose edges are the pairs ``edges`` or, when given,
+    each two consecutive names of ``flat``; the pairs are walked only to word the first bad edge."""
+    _check_tokens(nodes := list(nodes))  # before hashing or sorting, which raise TypeError on some non-str
+    at = dict(zip(names := list(dict.fromkeys(nodes)), count()))
+    if flat is None:
+        edges = list(map(tuple, edges))
+        flat = chain.from_iterable(edges) if set(map(len, edges)) <= {2} else None
+    try:
+        g = _graph(names, map(at.__getitem__, flat))
+    except (KeyError, TypeError):  # TypeError: flat is None, or an end is unhashable
+        g = None
+    if g is None or any(m >> i & 1 for i, m in enumerate(g.masks)):  # the second: a self-loop
+        u, v = next((u, v) for u, v in edges if u == v or u not in at or v not in at)
+        raise ValueError(f"self-loop at {u!r} not allowed" if u == v else
+                         f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
+    return g
+
+
 def _edge_count(g: Graph) -> int:
     return sum(m.bit_count() for m in g.masks) // 2
 
 
 def _edge_pairs(g: Graph) -> Iterator[tuple[str, str]]:
     """Each edge once, as (u, v) with u < v, in name order: that of sorted(g.edges)."""
-    names = g.names
-    # m >> i << i keeps the neighbours after i
+    names = g.names  # below, m >> i << i keeps the neighbours after i
     return ((names[i], names[j]) for i, m in enumerate(g.masks) for j in _bits(m >> i << i))
 
 
@@ -93,36 +110,39 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def complete(n: int) -> Graph:
-    """The complete graph on nodes "1".."n"."""
+    """The complete graph on nodes "1".."n": each mask is all nodes but itself, in any name order."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    names = [str(i) for i in range(1, n + 1)]
-    return Graph(names, combinations(names, 2))
+    return _graph(sorted(map(str, range(1, n + 1))), (), [(1 << n) - 1 ^ 1 << i for i in range(n)])
 
 
 def cycle(n: int) -> Graph:
-    """The cycle on nodes "1".."n" in circular order."""
+    """The cycle on nodes "1".."n" in circular order: the edges at positions (0, 1), ..., (n-1, 0)."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    names = [str(i) for i in range(1, n + 1)]
-    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-    return Graph(names, edges)
+    return _graph(list(map(str, range(1, n + 1))), [0, *[i >> 1 for i in range(2, 2 * n)], 0])
 
 
 def cube(k: int) -> Graph:
-    """The k-dimensional hypercube on length-k bitstring names, 1 <= k <= 20."""
+    """The k-dimensional hypercube on length-k bitstring names, 1 <= k <= 17."""
     if not 1 <= k <= MAX_CUBE_DIMENSION:
         raise ValueError(f"cube needs 1 <= k <= {MAX_CUBE_DIMENSION}, got {k}")
-    names = ["".join(bits) for bits in product("01", repeat=k)]
-    # names[v] spells v in binary; setting bit b of v sets one letter to 1
-    edges = [(names[v], names[v | 1 << b]) for b in range(k) for v in range(1 << k) if not v >> b & 1]
-    return Graph(names, edges)
+    if k > _MAX_CUBE_GRAPH:
+        raise ValueError(f"cube graph needs k <= {_MAX_CUBE_GRAPH}, got {k}: its masks would take {4 ** k >> 33} GiB")
+    names, masks = [""], [0]
+    for d in range(k):
+        # the (d+1)-cube: two d-cubes, prefixed 0 and 1, and edges from v to its copy v + h
+        h = 1 << d
+        names = [*map("0".__add__, names), *map("1".__add__, names)]
+        masks += [m << h | 1 << v for v, m in enumerate(masks)]
+        for v in range(h):
+            masks[v] |= 1 << v + h
+    return _graph(names, (), masks)  # names[v] spells v in binary, so they are sorted
 
 
-# The k-cube word has k * 2^k letters, so building it about doubles in time
-# per dimension; the k-cube graph's masks take about 4^k / 8 bytes, so
-# verifying it grows 2-3.5x in time and memory per dimension, rising toward 4x.
-MAX_CUBE_DIMENSION = 20
+# The k-cube word has k * 2^k letters and about doubles in time per dimension; the k-cube graph's
+# masks take 4^k / 8 bytes, so building and verifying it grow about 4x, and cube(k) stops at k = 17.
+MAX_CUBE_DIMENSION, _MAX_CUBE_GRAPH = 20, 17
 # the largest product graph built: the 20-cube's 2^20 nodes and 20 * 2^19 edges
 MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << MAX_CUBE_DIMENSION, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
 
@@ -135,29 +155,21 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     if nodes > MAX_PRODUCT_NODES or edges > MAX_PRODUCT_EDGES:
         raise ValueError(f"product graph would have {nodes:,} nodes and {edges:,} edges, above the "
                          f"{MAX_PRODUCT_NODES:,} nodes or {MAX_PRODUCT_EDGES:,} edges of the {MAX_CUBE_DIMENSION}-cube")
-    names = {(a, b): f"{a}@{b}" for a in g.names for b in h.names}
-    if len(set(names.values())) < len(names):
+    names = [f"{a}@{b}" for a in g.names for b in h.names]  # (a, b) at a * n + b
+    if len(set(names)) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")
-    h_edges = list(_edge_pairs(h))
-    edges = [(names[(a, u)], names[(a, v)]) for a in g.names for u, v in h_edges]
-    edges += [(names[(u, b)], names[(v, b)]) for u, v in _edge_pairs(g) for b in h.names]
-    return Graph(names.values(), edges)
+    h_ends = [x for u, mu in enumerate(h.masks) for v in _bits(mu >> u << u) for x in (u, v)]
+    ends = [a + x for a in range(0, nodes, n) for x in h_ends]
+    ends += [x * n + b for u, mu in enumerate(g.masks) for v in _bits(mu >> u << u) for b in range(n) for x in (u, v)]
+    return _graph(names, ends)
 
 
 def _alternation_rows(w: Word, index: dict[str, int]) -> Iterator[int]:
-    """For each symbol of ``w``, numbered by ``index``, the bitset of the
-    symbols starting later in ``w`` that it alternates with.
-
-    One sweep over the word: ``classes[j]`` holds the symbols seen exactly
-    j times so far.  At the i-th occurrence of x, x is in class i-1, and
-    that class is ANDed into x's accumulator.  A symbol y survives iff
-    exactly i-1 copies of y precede the i-th x for every i, which means y
-    starts after x and one y falls between consecutive x's.  With
-    count(y) <= count(x) at most one y follows the last x, so x and y
-    alternate.  Every alternating pair lands in the row of the symbol
-    that comes first; the sweep costs O(|w|) big-integer operations.
-    ``index`` must number exactly the symbols of ``w``.
-    """
+    """For each symbol of ``w``, numbered by ``index`` (exactly the symbols of ``w``), the bitset of the
+    symbols starting later in ``w`` that it alternates with, in one sweep: ``classes[j]`` holds the symbols
+    seen exactly j times so far, and at the i-th occurrence of x, class i-1 is ANDed into x's row.  So y
+    survives iff exactly i-1 copies of y precede the i-th x for every i: y starts after x and one y falls
+    between consecutive x's, and with count(y) <= count(x) then x and y alternate."""
     n = len(index)
     classes = [(1 << n) - 1] + [0] * max(w.counts.values(), default=0)
     seen = [0] * n
@@ -174,24 +186,15 @@ def _alternation_rows(w: Word, index: dict[str, int]) -> Iterator[int]:
 
 
 def graph_of_word(w: Word) -> Graph:
-    """The graph on alphabet(w) whose edges are the alternating pairs.
-
-    Built from one sweep over the word with a big-integer bitset per
-    symbol, so it costs O(|w|) big-integer operations rather than a test
-    of every pair.
-    """
+    """The graph on alphabet(w) whose edges are the alternating pairs, from one O(|w|) sweep."""
     names = sorted(w.counts)
     rows = _alternation_rows(w, {x: i for i, x in enumerate(names)})
-    return Graph(names, ((names[i], names[j]) for i, row in enumerate(rows) for j in _bits(row)))
+    return _graph(names, [x for i, row in enumerate(rows) for j in _bits(row) for x in (i, j)])
 
 
 def represents(w: Word, g: Graph) -> bool:
-    """True iff graph_of_word(w) equals g exactly (names and edges).
-
-    False at once when the alphabet and the node set differ.  Otherwise
-    one O(|w|) sweep gives each symbol's alternation bitset, which is
-    compared with its neighbours in g that first occur later in w.
-    """
+    """True iff graph_of_word(w) equals g exactly (names and edges): each symbol's alternation bitset from
+    one O(|w|) sweep is compared with its neighbours in g that first occur later in w."""
     if w.counts.keys() != g.index.keys():
         return False
     first = [g.index[x] for x in w.counts]  # first-occurrence order
@@ -203,24 +206,22 @@ def represents(w: Word, g: Graph) -> bool:
 
 def graph_to_edges_text(g: Graph) -> str:
     """Edge-list form: one "u v" line per edge, then one line per isolated node."""
-    lines = [f"{u} {v}" for u, v in _edge_pairs(g)]
-    lines.extend(v for v, m in zip(g.names, g.masks) if not m)
+    lines = [f"{u} {v}" for u, v in _edge_pairs(g)] + [v for v, m in zip(g.names, g.masks) if not m]
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def graph_from_edges_text(text: str) -> Graph:
-    tokens: list[str] = []  # in input order, so the first bad name is reported
-    edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        tokens += parts
-        if len(parts) == 2:
-            edges.append((parts[0], parts[1]))
-        elif len(parts) > 2:
-            raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {raw.strip()!r}")
-    return Graph(dict.fromkeys(tokens), edges)
+    lines = text.splitlines()
+    if "#" in text:  # comment lines are blanked, so that line i is still lines[i - 1]
+        lines = ["" if raw.lstrip().startswith("#") else raw for raw in lines]
+    widths = list(map(len, map(str.split, lines)))
+    if max(widths, default=0) > 2:
+        lineno = next(compress(count(1), map((2).__lt__, widths)))
+        raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {lines[lineno - 1].strip()!r}")
+    tokens = " ".join(lines).split()  # in input order, so the first bad name is reported
+    # the edges' ends are the tokens of the lines of two
+    flat = list(compress(tokens, b"".join(map((b"", b"\0", b"\1\1").__getitem__, widths)))) if 1 in widths else tokens
+    return _named(dict.fromkeys(tokens), zip(*[iter(flat)] * 2), flat)
 
 
 def _graph_payload(g: Graph) -> dict[str, list]:
@@ -241,23 +242,21 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("bad graph JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("graph JSON must be an object with 'nodes' and 'edges'")
-    nodes = payload.get("nodes", [])
-    edges = payload.get("edges", [])
-    if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
+    nodes, edges = payload.get("nodes", []), payload.get("edges", [])
+    if not isinstance(nodes, list) or not set(map(type, nodes)) <= {str}:
         raise ValueError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of 2-arrays of strings")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
-            raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
-    return Graph(dict.fromkeys(chain(nodes, chain.from_iterable(edges))), edges)
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
+        e = next(e for e in edges if not (type(e) is list and len(e) == 2 and set(map(type, e)) <= {str}))
+        raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
+    return _named(dict.fromkeys(chain(nodes, *edges)), edges, chain.from_iterable(edges))
 
 
 def parse_graph(text: str) -> Graph:
     """JSON when the first non-blank character is '{' or '[', else an edge list."""
-    if text.lstrip().startswith(("{", "[")):
-        return graph_from_json(text)
-    return graph_from_edges_text(text)
+    return (graph_from_json if text.lstrip().startswith(("{", "[")) else graph_from_edges_text)(text)
 
 
 def load_graph(path: str) -> Graph:

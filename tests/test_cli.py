@@ -138,6 +138,19 @@ def test_out_of_memory_is_one_error_line_and_exit_2(capsys, monkeypatch):
     assert run(capsys, ["construct", "cube", "-k", "3", "--verify"]) == (2, "", "error: out of memory\n")
 
 
+def test_cube_graph_above_17_is_one_error_line_before_the_word_is_built(capsys, monkeypatch):
+    def no_word(k):
+        raise AssertionError("the word was built")
+
+    monkeypatch.setattr("wordrep.cli.cube_word", no_word)
+    error = "error: cube graph needs k <= 17, got 18: its masks would take 8 GiB\n"
+    assert run(capsys, ["gen", "cube", "-k", "18"]) == (2, "", error)
+    assert run(capsys, ["construct", "cube", "-k", "18", "--verify"]) == (2, "", error)
+    # without --verify no graph is built, and the word is printed
+    monkeypatch.setattr("wordrep.cli.cube_word", lambda k: Word("a"))
+    assert run(capsys, ["construct", "cube", "-k", "18"]) == (0, "a\n", "")
+
+
 @pytest.mark.parametrize("argv", [["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"],
                                   ["construct", "cube", "-k", "0"]])
 def test_cube_dimension_outside_1_to_20_is_a_usage_error(capsys, argv):

@@ -1,7 +1,8 @@
+import hashlib
 import random
 import time
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -37,6 +38,15 @@ def test_graph_normalizes_edges_and_validates():
         Graph(["a"], [("a", "a")])
     with pytest.raises(ValueError, match="endpoint"):
         Graph(["a"], [("a", "b")])
+    # the first bad edge in input order is the one reported
+    for edges, error in [
+        ([("a", "zz"), ("b", "b")], "edge ('a', 'zz') has an endpoint outside the node set"),
+        ([("a", "b"), ("b", "b"), ("a", "zz")], "self-loop at 'b' not allowed"),
+        ([("a", "b"), ("a", "b", "a")], "too many values to unpack (expected 2)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Graph(["a", "b"], edges)
+        assert str(info.value) == error
 
 
 def test_adjacent_ignores_argument_order_and_unknown_names():
@@ -109,6 +119,10 @@ def test_cube_generator():
     assert g3.adjacent("000", "010") and not g3.adjacent("000", "011")
     with pytest.raises(ValueError):
         cube(0)
+    # refused before anything is built: the 18-cube's masks would take 8 GiB
+    for k in (18, 19, 20):
+        with pytest.raises(ValueError, match=rf"cube graph needs k <= 17, got {k}: its masks would take"):
+            cube(k)
 
 
 def test_cartesian_product_examples():
@@ -145,9 +159,136 @@ def test_cartesian_product_naming_conflict():
 
 def test_cube_is_iterated_product_with_k2():
     # x@1 -> x0 and x@2 -> x1: the K2 factor is the last bit
-    for k in (2, 3, 4):
+    for k in range(2, 9):
         names = {f"{x}@{j}": x + "01"[j - 1] for x in cube(k - 1).nodes for j in (1, 2)}
         assert relabel(cartesian_product(cube(k - 1), complete(2)), names) == cube(k)
+
+
+# Each generator against Graph(names, edges) built from the definition's
+# edge list, by names, never through positions.
+
+def test_cube_matches_its_definition():
+    for k in range(1, 13):
+        names = ["".join(bits) for bits in product("01", repeat=k)]
+        # one edge per pair of names that differ in exactly one place
+        edges = [(v, v[:i] + "1" + v[i + 1:]) for v in names for i in range(k) if v[i] == "0"]
+        assert cube(k) == Graph(names, edges), k
+
+
+def test_cycle_and_complete_match_their_definitions():
+    for n in range(3, 41):
+        names = [str(i) for i in range(1, n + 1)]
+        assert cycle(n) == Graph(names, [(names[i - 1], names[i]) for i in range(1, n)] + [(names[-1], names[0])]), n
+    for n in range(1, 31):
+        names = [str(i) for i in range(1, n + 1)]
+        assert complete(n) == Graph(names, combinations(names, 2)), n
+
+
+def reference_product(g, h):
+    """The Cartesian product written from the definition, by names."""
+    names = [f"{a}@{b}" for a in g.nodes for b in h.nodes]
+    edges = [(f"{a}@{u}", f"{a}@{v}") for a in g.nodes for u, v in h.edges]
+    edges += [(f"{u}@{b}", f"{v}@{b}") for u, v in g.edges for b in h.nodes]
+    return Graph(names, edges)
+
+
+@pytest.mark.parametrize("pool", [
+    ["1", "10", "2", "11", "3", "9", "1_", "20"],
+    ["a", "a_", "aa", "b", "a0", "aZ", "A", "_"],
+])
+def test_cartesian_product_matches_its_definition(pool):
+    # names whose "a@b" order differs from their (a, b) order, since '@'
+    # sorts after digits: "10@x" < "1@x" and "a0@x" < "a@x"
+    assert sorted(["1@x", "10@x", "a@x", "a0@x"]) == ["10@x", "1@x", "a0@x", "a@x"]
+    rng = random.Random(len(pool[0]) + 29)
+
+    def sample(p):
+        nodes = rng.sample(pool, rng.randint(1, 6))
+        return Graph(nodes, [e for e in combinations(nodes, 2) if rng.random() < p])
+
+    for _ in range(60):
+        g, h = sample(0.5), sample(0.4)
+        assert cartesian_product(g, h) == reference_product(g, h), (sorted(g.edges), sorted(h.edges))
+
+
+def reference_edges_text(text):
+    """The edge-list parser written line by line: blank and comment lines
+    are skipped, a line of two tokens is an edge, a line of one a node."""
+    tokens, edges = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) > 2:
+            raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {raw.strip()!r}")
+        tokens += parts
+        if len(parts) == 2:
+            edges.append((parts[0], parts[1]))
+    return Graph(dict.fromkeys(tokens), edges)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_edges_text_parser_matches_a_line_by_line_parser():
+    # comments, blank lines, tabs, CRLF, \x0b and \x1c (both line breaks to
+    # splitlines), isolated nodes between edges, self-loops, bad names and
+    # lines of three tokens, in seeded random mixtures
+    rng = random.Random(4099)
+    names = ["1", "10", "2", "a", "a_", "aa", "x@y"]
+    pieces = ["{u} {v}", "{u}\t{v}", " {u}  {v} ", "{u}", "# {u} {v} {u}", "#", "", "  ", "\t",
+              "{u} {v} {u}", "{u} {u}", "{u} b!", "  # note", "{u} #c"]
+    seen = set()
+    for _ in range(1500):
+        lines = [rng.choice(pieces).format(u=rng.choice(names), v=rng.choice(names)) for _ in range(rng.randint(0, 8))]
+        text = "".join(line + rng.choice(["\n", "\r\n", "\x0b", "\x1c", "\r"]) for line in lines)
+        expected = outcome(reference_edges_text, text)
+        assert outcome(graph_from_edges_text, text) == expected, repr(text)
+        seen.add(type(expected) if isinstance(expected, Graph) else expected.split(":")[0].split(" ")[0])
+    assert {Graph, "line", "self-loop", "invalid"} <= seen
+
+
+@pytest.mark.parametrize("text, error", [
+    ("# c\n1 2\n# x y z\n3 4 5\n", "line 4: expected 'u v' or 'u', got '3 4 5'"),
+    ("1 2\n3 3\n", "self-loop at '3' not allowed"),
+    ('{"nodes": ["a"], "edges": [["a", "b", "c"]]}', "each edge must be a 2-array of strings, got ['a', 'b', 'c']"),
+    ('{"nodes": ["a"], "edges": [["a", "b"], ["a", 5]]}', "each edge must be a 2-array of strings, got ['a', 5]"),
+    ('{"nodes": ["a"], "edges": [["b", "b"]]}', "self-loop at 'b' not allowed"),
+])
+def test_parse_error_texts(text, error):
+    with pytest.raises(ValueError) as info:
+        parse_graph(text)
+    assert str(info.value) == error
+
+
+# sha256 of graph_to_edges_text and graph_to_json, recorded from the
+# generators that built each graph edge by edge from its names
+SERIALIZED_SHA256 = {
+    "cube-12": ("9dffeab93a3863fe56555214535a551cddf9f157df57efa2df3c6bb10b2a5930",
+                "35854753329582985ce13ab73e7e1887bedbc85e434fdc6790f1abb1efdafaf2"),
+    "prism-300": ("0607bcc9206d11fed5bda11c49951fb798afad0e59e313d962967065dafa915c",
+                  "36fdb2cf38b82c101302c48f65f68eb8cbccc58e6a125892a39b0996175a7d91"),
+    "complete-200": ("6b1686b28a4b5dd73270fde7d668548869ee303c835fb358c75c17a2b6c9ca30",
+                     "3449ce51a49ab1a4563d840854a3a46443b22f81d3c2dd9c8fc43e768e49b56b"),
+    "C12xC10": ("4c8213a7f647c7e4476801e626291e5d5d4b7f97a6a6ebfdb5026e9ba0560f7f",
+                "1a6ed5df9534081ed768ea3e8555f839d4020a4f198390a0365a2cab82508305"),
+}
+
+
+@pytest.mark.parametrize("name, build", [
+    ("cube-12", lambda: cube(12)),
+    ("prism-300", lambda: cartesian_product(cycle(300), complete(2))),
+    ("complete-200", lambda: complete(200)),
+    ("C12xC10", lambda: cartesian_product(cycle(12), cycle(10))),
+])
+def test_serialized_generators_are_byte_identical(name, build):
+    g = build()
+    digests = tuple(hashlib.sha256(f(g).encode()).hexdigest() for f in (graph_to_edges_text, graph_to_json))
+    assert digests == SERIALIZED_SHA256[name]
 
 
 def test_graph_of_word_examples():
@@ -296,6 +437,9 @@ def test_serializers_list_edges_in_sorted_order(g):
 def test_edges_text_parsing():
     g = graph_from_edges_text("# comment\n1 2\n\n2 3\n4\n")
     assert g == Graph(["1", "2", "3", "4"], [("1", "2"), ("2", "3")])
+    # tabs, CRLF, and \x0b and \x1c as line breaks, with isolated nodes between edges
+    g = graph_from_edges_text("# head\r\n\r\n1\t2\r\nlone\r\n2 3\x0b4\x1c3 4\n\n5\n")
+    assert g == Graph(["1", "2", "3", "4", "lone", "5"], [("1", "2"), ("2", "3"), ("3", "4")])
     with pytest.raises(ValueError, match="line 2"):
         graph_from_edges_text("1 2\n1 2 3\n")
 
