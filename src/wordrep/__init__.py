@@ -36,7 +36,6 @@ from .graphs import (
     represents,
 )
 from .constructions import (
-    ConstructionError,
     complete_word,
     cube_word,
     cycle_word,
@@ -79,7 +78,6 @@ __all__ = [
     "load_graph",
     "parse_graph",
     "represents",
-    "ConstructionError",
     "complete_word",
     "cube_word",
     "cycle_word",

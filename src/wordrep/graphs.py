@@ -78,16 +78,21 @@ def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) 
     _check_tokens(nodes := list(nodes))  # before hashing or sorting, which raise TypeError on some non-str
     at = dict(zip(names := list(dict.fromkeys(nodes)), count()))
     if flat is None:
-        edges = list(map(tuple, edges))
-        flat = chain.from_iterable(edges) if set(map(len, edges)) <= {2} else None
+        edges = list(edges)
+        pairs = set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
+        flat = chain.from_iterable(edges) if pairs else None
     try:
         g = _graph(names, map(at.__getitem__, flat))
     except (KeyError, TypeError):  # TypeError: flat is None, or an end is unhashable
         g = None
     if g is None or any(m >> i & 1 for i, m in enumerate(g.masks)):  # the second: a self-loop
-        u, v = next((u, v) for u, v in edges if u == v or u not in at or v not in at)
-        raise ValueError(f"self-loop at {u!r} not allowed" if u == v else
-                         f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
+        for e in edges:
+            if type(e) not in (tuple, list) or len(e) != 2 or not set(map(type, e)) <= {str}:
+                raise ValueError(f"each edge must be a pair of node names, got {e!r}")
+            u, v = e
+            if u == v or u not in at or v not in at:
+                raise ValueError(f"self-loop at {u!r} not allowed" if u == v else
+                                 f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
     return g
 
 

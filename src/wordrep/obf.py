@@ -65,10 +65,7 @@ class OccurrenceBasedFunction:
                 if (x, i) not in table:
                     raise ValueError(f"table is not total: missing image for ({x!r}, {i})")
                 image = table[(x, i)]
-                row.append(
-                    image.letters if isinstance(image, Word)
-                    else tuple(image.split() if isinstance(image, str) else image)
-                )
+                row.append(tuple(image.split() if isinstance(image, str) else image))
             images[x] = tuple(row)
         if len(table) > len(images) * bound:
             keys = {(x, i) for x in images for i in range(1, bound + 1)}

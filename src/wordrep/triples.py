@@ -7,9 +7,9 @@ prefix is dead once some triple's restriction cannot be completed.  The
 search imports this module on its first query at k >= 2, so that the
 commands that never search do not compile it: without cached bytecode,
 compiling it with the search made `import wordrep` about 2.5 ms (12%)
-slower.  The tests check build()
-and count() against every triple of every graph of at most 5 nodes, and
-the memo against every completion of every prefix at k <= 3.
+slower.  The tests check build() and count() against every triple of
+every graph of at most 5 nodes, and the memo against every completion of
+every prefix at k <= 3.
 """
 from __future__ import annotations
 

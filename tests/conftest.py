@@ -1,12 +1,14 @@
 """Shared test plumbing: caps each test's run time, collects
 acceptance-criterion verdicts to print one line per criterion in the
-terminal summary, and holds the tests' one pairwise alternation oracle,
-their reference search and a graph relabelling."""
+terminal summary, counts validated tokens, and holds the tests' one
+pairwise alternation oracle, their reference search and a graph
+relabelling."""
 import signal
+import sys
 
 import pytest
 
-from wordrep import Graph, Word
+from wordrep import Graph, Word, words
 
 TEST_SECONDS = 60  # the slowest test takes under 3 s
 
@@ -37,6 +39,30 @@ def _time_cap():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def validated_tokens(monkeypatch):
+    """A one-element list counting the tokens handed to the validator from
+    here on, and the set of modules patched to count them.  Tokens are
+    counted, not check_symbol calls: the validator checks a batch in one
+    pass.  Every wordrep module holding it is patched, so a new importer
+    cannot hide tokens from the count."""
+    tokens = [0]
+    original = words._check_tokens
+
+    def counted(batch):
+        batch = list(batch)
+        tokens[0] += len(batch)
+        return original(batch)
+
+    holders = {
+        module for name, module in sys.modules.items()
+        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original
+    }
+    for module in holders:
+        monkeypatch.setattr(module, "_check_tokens", counted)
+    return tokens, holders
 
 
 def restriction_alternates(letters, x, y):

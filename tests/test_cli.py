@@ -535,7 +535,7 @@ def test_public_surface_is_pinned():
     from wordrep import obf, search, words
 
     assert sorted(wordrep.__all__) == [
-        "ChainConditionError", "ConstructionError", "DEFAULT_BUDGET", "Graph",
+        "ChainConditionError", "DEFAULT_BUDGET", "Graph",
         "NamingConflictError", "OccurrenceBasedFunction", "SearchOutcome", "Word",
         "apply", "cartesian_product", "check_symbol", "complete", "complete_word",
         "cube", "cube_word", "cycle", "cycle_word", "extend_uniform",

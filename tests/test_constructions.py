@@ -1,15 +1,16 @@
 import hashlib
 import random
-import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from conftest import relabel, restriction_alternates
-from wordrep import constructions, obf, words
+from wordrep import constructions, graphs, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
+    Graph,
+    OccurrenceBasedFunction,
     Word,
     cartesian_product,
     complete,
@@ -21,7 +22,9 @@ from wordrep import (
     graph_of_word,
     prism_word,
     product_k2_word,
+    product_kn_functions,
     product_kn_word,
+    projection,
     represents,
     restrict,
     uniformity,
@@ -178,8 +181,9 @@ def test_complete_word():
 
 
 def test_cycle_word():
+    # every n that construct prism accepts: no construction checks itself
     assert graph_of_word(cycle_word(3)) == cycle(3)
-    for n in range(3, 11):
+    for n in range(3, 1001):
         w = cycle_word(n)
         assert uniformity(w) == 2
         assert represents(w, cycle(n))
@@ -268,33 +272,35 @@ def test_prism_and_product_kn_words_are_pinned():
     assert_counts_match_letters(product_k2_word(base))
 
 
-def test_cube_word_validates_each_new_token_about_once(monkeypatch):
-    # step k builds its 2^k new names once, for both functions, and
-    # validates them once; the domains (the previous word's valid names)
-    # and the words that apply returns are not validated again:
-    # (2^13 - 8) new names + 4 seed names = 8,188 tokens for k = 12.
-    # Tokens are counted, not check_symbol calls: the validator checks a
-    # batch in one pass and calls check_symbol only for a batch that
-    # fails.  Every wordrep module holding the validator is patched, so
-    # a new importer cannot hide tokens from the count.
-    tokens = [0]
-    original = words._check_tokens
-
-    def counted(batch):
-        batch = list(batch)
-        tokens[0] += len(batch)
-        return original(batch)
-
-    holders = [
-        module for name, module in sorted(sys.modules.items())
-        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original
-    ]
-    assert {words, constructions, obf} <= set(holders)
-    for module in holders:
-        monkeypatch.setattr(module, "_check_tokens", counted)
+def test_constructions_validate_no_tokens(validated_tokens):
+    # a construction names every node from valid names (x@j, x0 and x1
+    # are valid iff x is) and concatenates images of its input, so it
+    # validates no token; the entry points that take names from outside
+    # still validate each of them once
+    tokens, holders = validated_tokens
+    assert {words, graphs, constructions, obf} <= holders
+    base = Word("6 3 1 2 2 5 6 2 5 1 3 1 4 4 3 6 5 4")
+    assert tokens[0] == 6  # the count is live: base's 6 distinct names
+    tokens[0] = 0
     cube_word.cache_clear()
     try:
         cube_word(12)
     finally:
         cube_word.cache_clear()
-    assert tokens[0] == 8_188
+    prism_word(200)
+    complete_word(5, 3)
+    product_kn_word(base, 4)
+    assert tokens[0] == 0
+    # the product functions validate the m = 6 names of their alphabet,
+    # not the 4 * 6 copies they derive
+    product_kn_functions(base.alphabet, 3, 4)
+    assert tokens[0] == 6
+    for reject in (
+        lambda: product_kn_functions({"a", "b@"}, 2, 3),
+        lambda: projection({1}, {"a", "b@"}, 2),
+        lambda: Word("a b@"),
+        lambda: Graph(["a", "b@"]),
+        lambda: OccurrenceBasedFunction({"a"}, 1, {("a", 1): ("a", "b@")}),
+    ):
+        with pytest.raises(ValueError, match="invalid symbol token: 'b@'$"):
+            reject()

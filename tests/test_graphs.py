@@ -42,7 +42,11 @@ def test_graph_normalizes_edges_and_validates():
     for edges, error in [
         ([("a", "zz"), ("b", "b")], "edge ('a', 'zz') has an endpoint outside the node set"),
         ([("a", "b"), ("b", "b"), ("a", "zz")], "self-loop at 'b' not allowed"),
-        ([("a", "b"), ("a", "b", "a")], "too many values to unpack (expected 2)"),
+        ([("a", "b"), ("a", "b", "a")], "each edge must be a pair of node names, got ('a', 'b', 'a')"),
+        # each malformed edge is one ValueError that names it
+        ([("a", "b", "c")], "each edge must be a pair of node names, got ('a', 'b', 'c')"),
+        ([(["x"], "a")], "each edge must be a pair of node names, got (['x'], 'a')"),
+        (["ab"], "each edge must be a pair of node names, got 'ab'"),
     ]:
         with pytest.raises(ValueError) as info:
             Graph(["a", "b"], edges)

@@ -47,9 +47,9 @@ def test_domain_symbols_are_validated_with_the_table():
         OccurrenceBasedFunction({"a", "b@"}, 1, {("a", 1): ("a",), ("b@", 1): ()})
     with pytest.raises(ValueError, match="b@"):
         projection({1}, {"a", "b@"}, 2)
-    # a copy name x@j is valid iff x is, so checking the copy names checks
-    # the domain of the product functions
-    with pytest.raises(ValueError, match="b@"):
+    # the product functions validate their alphabet before naming its
+    # copies, so the error names the given token, not a copy of it
+    with pytest.raises(ValueError, match="invalid symbol token: 'b@'$"):
         product_kn_functions({"a", "b@"}, 2, 3)
 
 

@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 import time
 from itertools import combinations, permutations
 
@@ -395,27 +394,13 @@ def test_outcome_and_graph_json_share_one_payload():
         assert graph_from_json(graph_json) == g
 
 
-def test_search_validates_no_tokens(monkeypatch):
+def test_search_validates_no_tokens(validated_tokens):
     # the graph's names were validated when it was built; a leaf's
     # candidate word is built from them unchecked, and represents still
-    # verifies every witness.  Every wordrep module holding the validator
-    # is patched, so a new importer cannot hide tokens from the count.
+    # verifies every witness
     g = cube(3)
-    tokens = [0]
-    original = words._check_tokens
-
-    def counted(batch):
-        batch = list(batch)
-        tokens[0] += len(batch)
-        return original(batch)
-
-    holders = [
-        module for name, module in sorted(sys.modules.items())
-        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original
-    ]
-    assert {words, graphs} <= set(holders)
-    for module in holders:
-        monkeypatch.setattr(module, "_check_tokens", counted)
+    tokens, holders = validated_tokens
+    assert {words, graphs} <= holders
     outcome = is_k_representable(g, 3)
     assert outcome.found and represents(outcome.word, g)
     assert tokens[0] == 0
