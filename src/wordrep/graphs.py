@@ -148,18 +148,19 @@ def cube(k: int) -> Graph:
 # The k-cube word has k * 2^k letters and about doubles in time per dimension; the k-cube graph's
 # masks take 4^k / 8 bytes, so building and verifying it grow about 4x, and cube(k) stops at k = 17.
 MAX_CUBE_DIMENSION, _MAX_CUBE_GRAPH = 20, 17
-# the largest product graph built: the 20-cube's 2^20 nodes and 20 * 2^19 edges
-MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << MAX_CUBE_DIMENSION, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
+# the largest product graph built: the 17-cube graph's 2^17 nodes and the 20-cube's 20 * 2^19 edges
+MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << _MAX_CUBE_GRAPH, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product on nodes "a@b": edges move along one factor at a time.
-    Its size is counted first, and one above the 20-cube's is refused."""
+    Its size is counted first, and one above either bound is refused."""
     m, n = len(g.names), len(h.names)
     nodes, edges = m * n, m * _edge_count(h) + _edge_count(g) * n
     if nodes > MAX_PRODUCT_NODES or edges > MAX_PRODUCT_EDGES:
         raise ValueError(f"product graph would have {nodes:,} nodes and {edges:,} edges, above the "
-                         f"{MAX_PRODUCT_NODES:,} nodes or {MAX_PRODUCT_EDGES:,} edges of the {MAX_CUBE_DIMENSION}-cube")
+                         f"{MAX_PRODUCT_NODES:,} nodes of the {_MAX_CUBE_GRAPH}-cube "
+                         f"or the {MAX_PRODUCT_EDGES:,} edges of the {MAX_CUBE_DIMENSION}-cube")
     names = [f"{a}@{b}" for a in g.names for b in h.names]  # (a, b) at a * n + b
     if len(set(names)) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")

@@ -31,23 +31,27 @@ with every completion of every prefix.
 The state is a few int bitmasks over the positions of the graph's sorted
 names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
 once per query, holds x's non-neighbours; brk[x] the partners whose
-alternation with x is already broken (kept symmetric, and only the newly
-broken bits are set and undone); and since[x] the symbols placed after
-x's last copy, which for a node not yet placed is the placed set.  since
-is a new list at each depth.  A further copy of x repeats with every
-symbol outside since[x]: a neighbour there cuts the branch, and the
-non-neighbours there become broken.  The lex-leader cut asks _Symmetry,
-built once per query, and only when a smaller free node has x's degree;
-_Symmetry owns the one automorphism search, which looks for a single
-automorphism extending a partial map.  codes[t] holds triple t's
-restriction as an int and member[x] the (triple, role) pairs of x, both
-built once per query by the triples module, and left empty when the
-query has more than triples.MAX_TRIPLES triples, counted first from the
-degrees.  The triple cut looks x's new codes up in triples.memo(k), one
-memo per k shared by all queries.  Each stack frame holds a placed
-letter x, the pairs it newly broke, the since list from before it and
-the iterator over the candidates at its position; popping a frame undoes
-the letter, and the search resumes with the candidate after x.
+alternation with x a repeat of x has broken, so that a pair is broken
+iff it is in either row; and since[x] the symbols placed after x's last
+copy, which for a node not yet placed is the placed set.  since is a new
+list at each depth.  A further copy of x repeats with every symbol
+outside since[x]: a neighbour there cuts the branch, and the
+non-neighbours there not yet in brk[x] are set there and unset when x is
+popped.  The non-edge lookahead at x's k-th copy reads a partner's row
+only for the non-neighbours still unbroken in x's, and it is decided
+before the letter is written, so a rejected letter has nothing to undo.
+Without the triple cut it does most of the pruning.  The lex-leader cut
+asks _Symmetry, built once per query, and only when a smaller free node
+has x's degree; _Symmetry owns the one automorphism search, which looks
+for a single automorphism extending a partial map.  codes[t] holds triple
+t's restriction as an int and member[x] the (triple, role) pairs of x,
+both built once per query by triples.build, which also decides whether
+the query follows any triple.  The triple cut looks x's new codes up in
+triples.memo(k), one memo per k shared by all queries.  Each stack frame
+holds a placed letter x, the pairs it newly broke, the since list from
+before it and the iterator over the candidates at its position; popping
+a frame undoes the letter, and the search resumes with the candidate
+after x.
 """
 from __future__ import annotations
 
@@ -254,9 +258,7 @@ def is_k_representable(
 
     full = (1 << n) - 1
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
-    codes, member = [], [()] * n
-    if triples.count(nbr) <= triples.MAX_TRIPLES:
-        codes, member = triples.build(nbr, non)
+    codes, member = triples.build(nbr, non)
     live = triples.memo(k)
     sym = _Symmetry(g)
     twins, cuts = sym.twins, sym.cuts
@@ -269,14 +271,6 @@ def is_k_representable(
     # from before x, the candidates not yet tried at x's position); x's
     # triples get its digit when x is placed and lose it when x is popped
     stack: list[tuple[int, int, list[int], Iterator[int]]] = []
-
-    def flip(x: int, bit: int, pairs: int) -> None:
-        # toggle the pairs {x, u}, u in pairs, in both rows of brk
-        brk[x] ^= pairs
-        while pairs:
-            low = pairs & -pairs
-            brk[low.bit_length() - 1] ^= bit
-            pairs ^= low
 
     explored = 0
     witness: Word | None = None
@@ -299,20 +293,18 @@ def is_k_representable(
             roles = member[x]
             if roles and not all([live[codes[t] << 2 | r] for t, r in roles]):
                 continue  # some triple's restriction has no completion
-            bit = 1 << x
-            if new:
-                flip(x, bit, new)
-            counts[x] = c + 1
             explored += 1
             # Alternation keeps two counts within one, so a non-edge u that
             # still alternates with the complete x has k - 1 or k copies, and
             # a last u can only follow the last x: the pair would alternate
-            # in every completion.
-            if c + 1 == k and non[x] & ~brk[x]:
-                counts[x] = c
-                if new:
-                    flip(x, bit, new)
-                continue
+            # in every completion.  A pair is broken in x's row or in u's.
+            if c + 1 == k:
+                unbroken = non[x] & ~(brk[x] | new)
+                if unbroken and not all([brk[u] >> x & 1 for u in _bits(unbroken)]):
+                    continue
+            counts[x] = c + 1
+            brk[x] |= new
+            bit = 1 << x
             for t, r in roles:
                 codes[t] = codes[t] << 2 | r
             stack.append((x, new, since, candidates))
@@ -326,8 +318,7 @@ def is_k_representable(
                 break
             x, new, since, candidates = stack.pop()
             counts[x] -= 1
-            if new:
-                flip(x, 1 << x, new)
+            brk[x] ^= new
             for t, _ in member[x]:
                 codes[t] >>= 2
             continue

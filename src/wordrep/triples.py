@@ -1,5 +1,6 @@
 """The triple cut's tables: which triples of a graph the search follows,
-and whether a triple's restriction of a prefix can still be completed.
+none when a graph has more than MAX_TRIPLES of them, and whether a
+triple's restriction of a prefix can still be completed.
 
 Restricted to three nodes, a k-representant of a graph is one of the
 subgraph they induce (Kitaev & Lozin, Words and Graphs, 2015), so a
@@ -38,14 +39,18 @@ def count(nbr: list[int]) -> int:
 
 def build(nbr: list[int], non: list[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """The initial codes of the induced paths and single-edge triples, and
-    for each node its (triple, role) pairs.  Both shapes are read off the
-    non-neighbours of each node w: a path w - v - c through each common
-    neighbour v of w and a later non-neighbour c, and a single edge a - b,
-    a < b, between two non-neighbours of w.  The loops take the bits off the
-    masks in place: iterating them with a generator per mask made the
-    set-up of a 6-node query about twice as slow."""
+    for each node its (triple, role) pairs; no triple at all when count()
+    is above MAX_TRIPLES, so that the query runs without the triple cut.
+    Both shapes are read off the non-neighbours of each node w: a path
+    w - v - c through each common neighbour v of w and a later non-neighbour
+    c, and a single edge a - b, a < b, between two non-neighbours of w.  The
+    loops take the bits off the masks in place: iterating them with a
+    generator per mask made the set-up of a 6-node query about twice as
+    slow."""
     codes: list[int] = []
     member: list[list[tuple[int, int]]] = [[] for _ in nbr]
+    if count(nbr) > MAX_TRIPLES:
+        return codes, member
     for w, far in enumerate(non):
         later = far >> w << w
         while later:

@@ -97,11 +97,12 @@ def test_gen_product(capsys, tmp_path):
 
 
 def test_gen_product_refuses_an_output_above_the_20_cube(capsys, monkeypatch, tmp_path):
-    # the product is counted before it is built: |V(G)||V(H)| nodes and
-    # |V(G)||E(H)| + |E(G)||V(H)| edges, at most the 20-cube's; the bounds
-    # are lowered here so that a missing check builds 12 edges rather than,
-    # say, the 26,910,000 of K300 times K300
-    assert (graphs.MAX_PRODUCT_NODES, graphs.MAX_PRODUCT_EDGES) == (2 ** 20, 20 * 2 ** 19) == (1_048_576, 10_485_760)
+    # the product is counted before it is built: |V(G)||V(H)| nodes, at
+    # most the 17-cube graph's, and |V(G)||E(H)| + |E(G)||V(H)| edges, at
+    # most the 20-cube's; the bounds are lowered here so that a missing
+    # check builds 12 edges rather than, say, the 26,910,000 of K300 times
+    # K300
+    assert (graphs.MAX_PRODUCT_NODES, graphs.MAX_PRODUCT_EDGES) == (2 ** 17, 20 * 2 ** 19) == (131_072, 10_485_760)
     path = tmp_path / "p3.edges"
     path.write_text("1 2\n2 3\n")  # the path on 3 nodes, with 2 edges
     argv = ["gen", "product", str(path), str(path)]  # 9 nodes, 3 * 2 + 2 * 3 = 12 edges
@@ -111,7 +112,7 @@ def test_gen_product_refuses_an_output_above_the_20_cube(capsys, monkeypatch, tm
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err == (f"error: product graph would have 9 nodes and 12 edges, above the {nodes} nodes "
-                       f"or {edges} edges of the 20-cube\n")
+                       f"of the 17-cube or the {edges} edges of the 20-cube\n")
     monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", 9)
     monkeypatch.setattr(graphs, "MAX_PRODUCT_EDGES", 12)
     code, out, _ = run(capsys, argv)
@@ -243,6 +244,24 @@ def test_check_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, ["check", str(word_file), str(k4_file), "--explain"])
     assert code == 1
     assert "{1,3}" in out and "3 1 1 3" in out
+
+
+def test_explain_names_the_symbols_a_word_and_a_graph_do_not_share(capsys, tmp_path):
+    # the word lacks the graph's node d and has the symbol c the graph lacks
+    word_file = tmp_path / "w.txt"
+    word_file.write_text("a b c a b c\n")
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text("a b\nb d\n")
+    code, out, err = run(capsys, ["check", str(word_file), str(graph_file), "--explain"])
+    assert (code, out, err) == (
+        1, "graph nodes missing from the word: d; word symbols not in the graph: c\n", "")
+
+
+def test_construct_product_kn_refuses_two_words(capsys, tmp_path):
+    word_file = tmp_path / "w.txt"
+    word_file.write_text("1 2 1 2\n1 2 2 1\n")
+    code, out, err = run(capsys, ["construct", "product-kn", "-n", "3", str(word_file)])
+    assert (code, out, err) == (2, "", "error: expected exactly one word, found 2\n")
 
 
 def pairwise_explanation(w, g):

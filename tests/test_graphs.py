@@ -262,6 +262,7 @@ def test_edges_text_parser_matches_a_line_by_line_parser():
     ('{"nodes": ["a"], "edges": [["a", "b", "c"]]}', "each edge must be a 2-array of strings, got ['a', 'b', 'c']"),
     ('{"nodes": ["a"], "edges": [["a", "b"], ["a", 5]]}', "each edge must be a 2-array of strings, got ['a', 5]"),
     ('{"nodes": ["a"], "edges": [["b", "b"]]}', "self-loop at 'b' not allowed"),
+    ('{"nodes": ["a", 5], "edges": []}', "'nodes' must be an array of strings"),
 ])
 def test_parse_error_texts(text, error):
     with pytest.raises(ValueError) as info:

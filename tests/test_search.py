@@ -248,11 +248,38 @@ def test_pinned_wheel_counts():
 
 def test_pinned_small_graph_totals():
     # explored summed over every labelled graph of at most 5 nodes at
-    # k <= 2 (2,198 queries): a change of where explored is counted shows
-    # here even when every single answer stays the same
+    # k <= 3 (3,297 queries; 11,388 at k <= 2 and 19,761 at k = 3): a
+    # change of where explored is counted shows here even when every single
+    # answer stays the same
     graphs = [g for size in range(1, 6) for g in all_graphs(size)]
-    total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2))
-    assert (len(graphs), total) == (1_099, 11_388)
+    total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2, 3))
+    assert (len(graphs), total) == (1_099, 31_149)
+
+
+def test_non_edge_lookahead_cuts_beside_the_triple_cut():
+    # K3xK2 plus two isolated nodes x and y at k = 2: every triple holding
+    # both is empty, so the triple cut never sees the pair x, y, and only
+    # the lookahead drops a prefix where it still alternates once x is
+    # complete; 750 explored without it
+    prism = cartesian_product(complete(3), complete(2))
+    g = Graph([*prism.names, "x", "y"], prism.edges)
+    o = is_k_representable(g, 2)
+    assert (o.result, o.explored) == ("exhausted", 655)
+
+
+def test_non_edge_lookahead_cuts_above_max_triples():
+    # K100 minus the perfect matching of consecutive sorted names has 4,900
+    # triples, above triples.MAX_TRIPLES, so only the edge cut and the
+    # non-edge lookahead prune; with both, the witness comes after 250
+    # placements (without the lookahead no answer came in 300 s)
+    names = complete(100).names
+    matching = {(names[i], names[i + 1]) for i in range(0, 100, 2)}
+    g = Graph(names, [e for e in complete(100).edges if e not in matching])
+    assert triples.count(g.masks) == 4_900 > triples.MAX_TRIPLES
+    started = time.perf_counter()
+    o = is_k_representable(g, 2, budget=200)
+    assert time.perf_counter() - started < 1
+    assert (o.result, o.explored) == ("witness", 250) and represents(o.word, g) and uniformity(o.word) == 2
 
 
 def test_triple_count_and_triples_match_every_triple():
@@ -328,12 +355,13 @@ def test_high_k_queries_answer_at_once(monkeypatch):
 
 
 def test_triple_cut_is_off_above_max_triples(monkeypatch):
-    # above the bound no triple is built, and the search is the one without
-    # the triple cut: K3xK2 explores 343 at k = 2 instead of 25
+    # above the bound build() returns no triple, and the search is the one
+    # without the triple cut: K3xK2 explores 343 at k = 2 instead of 25
     g = cartesian_product(complete(3), complete(2))
     assert triples.count(g.masks) == 18
+    assert len(triples.build(g.masks, non_edges(g))[0]) == 18
     monkeypatch.setattr(triples, "MAX_TRIPLES", 17)
-    monkeypatch.setattr(triples, "build", lambda nbr, non: pytest.fail("triples built"))
+    assert triples.build(g.masks, non_edges(g)) == ([], [[]] * 6)
     o = is_k_representable(g, 2)
     assert (o.result, o.explored) == ("exhausted", 343)
 
