@@ -97,7 +97,7 @@ def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) 
 
 
 def _edge_count(g: Graph) -> int:
-    return sum(m.bit_count() for m in g.masks) // 2
+    return sum(map(int.bit_count, g.masks)) // 2
 
 
 def _edge_pairs(g: Graph) -> Iterator[tuple[str, str]]:
@@ -161,34 +161,53 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         raise ValueError(f"product graph would have {nodes:,} nodes and {edges:,} edges, above the "
                          f"{MAX_PRODUCT_NODES:,} nodes of the {_MAX_CUBE_GRAPH}-cube "
                          f"or the {MAX_PRODUCT_EDGES:,} edges of the {MAX_CUBE_DIMENSION}-cube")
-    names = [f"{a}@{b}" for a in g.names for b in h.names]  # (a, b) at a * n + b
+    # "a@b" sorts as a + "@" does, then as b: one block of h's copies per node of g, in key order
+    keys = [a + "@" for a in g.names]
+    order = sorted(range(m), key=keys.__getitem__)
+    offset = [0] * m
+    for t, u in enumerate(order):
+        offset[u] = t * n
+    names = [keys[u] + b for u in order for b in h.names]
+    across = [0] * m  # the first copies of each node's neighbours
+    for u, mu in enumerate(g.masks):
+        for v in _bits(mu):
+            across[u] |= 1 << offset[v]
+    masks = [across[u] << b | mb << offset[u] for u in order for b, mb in enumerate(h.masks)]
+    keys.sort()
+    if not any(map(str.startswith, keys[1:], keys)):
+        return _graph(names, (), masks)
+    # a name of g continues another past '@', so the blocks interleave in name order, and names may collide
     if len(set(names)) < len(names):
         raise NamingConflictError("distinct node pairs collide under '@' naming")
-    h_ends = [x for u, mu in enumerate(h.masks) for v in _bits(mu >> u << u) for x in (u, v)]
-    ends = [a + x for a in range(0, nodes, n) for x in h_ends]
-    ends += [x * n + b for u, mu in enumerate(g.masks) for v in _bits(mu >> u << u) for b in range(n) for x in (u, v)]
-    return _graph(names, ends)
+    return _graph(names, [x for i, mi in enumerate(masks) for j in _bits(mi >> i << i) for x in (i, j)])
 
 
-def _alternation_rows(w: Word, index: dict[str, int]) -> Iterator[int]:
-    """For each symbol of ``w``, numbered by ``index`` (exactly the symbols of ``w``), the bitset of the
-    symbols starting later in ``w`` that it alternates with, in one sweep: ``classes[j]`` holds the symbols
-    seen exactly j times so far, and at the i-th occurrence of x, class i-1 is ANDed into x's row.  So y
-    survives iff exactly i-1 copies of y precede the i-th x for every i: y starts after x and one y falls
-    between consecutive x's, and with count(y) <= count(x) then x and y alternate."""
+def _alternation_rows(w: Word, index: dict[str, int]) -> list[int] | None:
+    """For each symbol of ``index``, the bitset of the symbols starting later in ``w`` that it alternates
+    with, from one sweep that counts as it goes; None unless ``w``'s symbols are exactly ``index``'s.
+    ``classes[j]`` holds the symbols seen exactly j times so far; at the i-th occurrence of x, x leaves
+    class i-1 and the rest of that class is ANDed into x's row.  So y survives iff exactly i-1 copies of y
+    precede the i-th x for every i: y starts after x and one y falls between consecutive x's, and with
+    count(y) <= count(x) then x and y alternate.  No symbol occurs over |w| - n + 1 times if all n occur."""
     n = len(index)
-    classes = [(1 << n) - 1] + [0] * max(w.counts.values(), default=0)
+    classes = [(1 << n) - 1] + [0] * (len(w) - n + 1)
     seen = [0] * n
     acc = [-1] * n
-    for i in map(index.__getitem__, w.letters):
-        j = seen[i]
-        acc[i] &= classes[j]
-        bit = 1 << i
-        classes[j] ^= bit
-        classes[j + 1] |= bit
-        seen[i] = j + 1
-    at_most = list(accumulate(classes, or_))  # at_most[c]: symbols occurring <= c times
-    return (acc[i] & at_most[seen[i]] & ~(1 << i) for i in range(n))
+    try:
+        for i in map(index.__getitem__, w.letters):
+            j = seen[i]
+            bit = 1 << i
+            classes[j] ^= bit
+            acc[i] &= classes[j]
+            classes[j + 1] |= bit
+            seen[i] = j + 1
+    except (KeyError, IndexError):  # a letter outside index, or more copies than fit
+        return None
+    if classes[0]:  # a symbol of index that never occurs
+        return None
+    # at_most[c]: symbols occurring <= c times, up to the top count, as a | 0 would copy a
+    at_most = list(accumulate(classes[:max(seen, default=0) + 1], or_))
+    return [acc[i] & at_most[c] for i, c in enumerate(seen)]
 
 
 def graph_of_word(w: Word) -> Graph:
@@ -199,15 +218,11 @@ def graph_of_word(w: Word) -> Graph:
 
 
 def represents(w: Word, g: Graph) -> bool:
-    """True iff graph_of_word(w) equals g exactly (names and edges): each symbol's alternation bitset from
-    one O(|w|) sweep is compared with its neighbours in g that first occur later in w."""
-    if w.counts.keys() != g.index.keys():
-        return False
-    first = [g.index[x] for x in w.counts]  # first-occurrence order
-    # upto[i]: the nodes whose first occurrence is not after that of node i
-    upto = dict(zip(first, accumulate((1 << i for i in first), or_)))
+    """True iff graph_of_word(w) equals g exactly (names and edges), from one O(|w|) sweep: its rows hold
+    each alternating pair once, so they are g's edges iff no row holds a non-edge and they are as many."""
     rows = _alternation_rows(w, g.index)
-    return all(row == mask & ~upto[i] for i, (row, mask) in enumerate(zip(rows, g.masks)))
+    return (rows is not None and sum(map(int.bit_count, rows)) == _edge_count(g)
+            and all(r & m == r for r, m in zip(rows, g.masks)))
 
 
 def graph_to_edges_text(g: Graph) -> str:

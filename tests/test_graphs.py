@@ -25,6 +25,7 @@ from wordrep import (
     parse_graph,
     represents,
 )
+from wordrep.graphs import _alternation_rows
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
 
@@ -159,6 +160,9 @@ def test_cartesian_product_naming_conflict():
     # ("a@b", "c") and ("a", "b@c") would both be named "a@b@c"
     with pytest.raises(NamingConflictError):
         cartesian_product(g, h)
+    # ("x", "1@2") and ("x@1", "2") would both be named "x@1@2"
+    with pytest.raises(NamingConflictError):
+        cartesian_product(Graph(["x", "x@1"]), Graph(["1@2", "2"]))
 
 
 def test_cube_is_iterated_product_with_k2():
@@ -199,20 +203,28 @@ def reference_product(g, h):
 @pytest.mark.parametrize("pool", [
     ["1", "10", "2", "11", "3", "9", "1_", "20"],
     ["a", "a_", "aa", "b", "a0", "aZ", "A", "_"],
+    ["x", "x@1", "x@10", "x@1@2", "1", "10"],
 ])
 def test_cartesian_product_matches_its_definition(pool):
     # names whose "a@b" order differs from their (a, b) order, since '@'
     # sorts after digits: "10@x" < "1@x" and "a0@x" < "a@x"
     assert sorted(["1@x", "10@x", "a@x", "a0@x"]) == ["10@x", "1@x", "a0@x", "a@x"]
+    # and names that continue each other past '@', whose copies interleave
+    # in name order: the copies of "x@1" fall between "x@1" and "x@2"
+    assert sorted(["x@1", "x@2", "x@1@1", "x@1@2"]) == ["x@1", "x@1@1", "x@1@2", "x@2"]
     rng = random.Random(len(pool[0]) + 29)
 
     def sample(p):
         nodes = rng.sample(pool, rng.randint(1, 6))
         return Graph(nodes, [e for e in combinations(nodes, 2) if rng.random() < p])
 
+    continued = set()  # whether a name of g continues another past '@'
     for _ in range(60):
         g, h = sample(0.5), sample(0.4)
+        continued.add(any(b.startswith(a + "@") for a in g.names for b in g.names))
         assert cartesian_product(g, h) == reference_product(g, h), (sorted(g.edges), sorted(h.edges))
+    # the '@' pool reaches both the copies in blocks and the interleaved ones
+    assert continued == ({False, True} if "x@1" in pool else {False})
 
 
 def reference_edges_text(text):
@@ -324,6 +336,27 @@ def test_represents_examples():
     assert represents(Word(), Graph([]))
     assert not represents(Word(), complete(1))
     assert represents(Word("x"), Graph(["x"]))
+
+
+def test_represents_does_not_count_the_word():
+    # the sweep counts as it goes, so a built word is never counted again
+    w = Word._trusted(cube_word(9).letters)
+    assert represents(w, cube(9))
+    assert w._counts is None
+
+
+def test_represents_rejects_mismatched_symbols_without_raising():
+    cases = [
+        (Word("a b a"), Graph(["a"])),  # a letter outside the graph
+        (Word("a b a b"), Graph(["a", "b", "c"])),  # a node with no letter
+        (Word("a a a"), Graph(["a", "b"])),  # more copies than len(w) - n + 1 = 2
+        (Word("a"), complete(3)),  # fewer letters than nodes
+        (Word("1"), complete(3)),
+        (Word(), complete(2)),
+    ]
+    for w, g in cases:
+        assert _alternation_rows(w, g.index) is None, (w, g)
+        assert represents(w, g) is False, (w, g)
 
 
 def test_represents_graph_of_word_round_trip():
