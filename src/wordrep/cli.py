@@ -32,7 +32,7 @@ from .graphs import (
     parse_graph,
     represents,
 )
-from .search import DEFAULT_BUDGET, outcome_to_json, representation_number
+from .search import DEFAULT_BUDGET, _graph_json, _outcome_json, representation_number
 from .words import Word, parse_words, restrict
 
 
@@ -136,8 +136,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_repnum(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.graph)
+    graph_json = _graph_json(g)  # serialized once, spliced into each outcome line
     for outcome in representation_number(g, args.max_k, budget=args.budget):
-        print(outcome_to_json(outcome, timings=args.timings))
+        print(_outcome_json(graph_json, outcome, args.timings))
     if outcome.found:
         print(f"representation number: {outcome.k}")
         print(f"witness: {outcome.word}")
@@ -174,11 +175,13 @@ def _int_within(low: int, high: int | None = None):
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process, on the first main() call: parsing leaves no
     # state in the parser, and the handler is looked up per call in main().
+    # parser.commands maps each command to its own parser, for main().
     parser = argparse.ArgumentParser(
         prog="wordrep",
         description="Word-representable graphs: constructions, checking, and search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     # the k-cube has 2^k nodes: building its word grows 2-2.5x in time per
     # dimension (k = 18: 13 s, 314 MB), while gen and --verify grow 2-4x in
     # time and memory (k = 16 --verify: 11 s, 1.6 GB), and cube() refuses k > 17
@@ -237,9 +240,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        # A leading command name goes straight to its own parser, which is
+        # what the full parser would hand the rest of argv to; any other
+        # argv, or leftover arguments, takes the full parser's path, so
+        # that usage, help and errors stay the full parser's.
+        if command is not None:
+            args, extra = command.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if command is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if [getattr(args, name, None) for name in ("word", "graph", "left", "right")].count("-") > 1:

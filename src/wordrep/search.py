@@ -97,15 +97,25 @@ class SearchOutcome:
 def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
     """Serialize an outcome; millis is 0 unless timings is requested, so
     that identical queries produce byte-identical output."""
-    payload = {
-        "graph": _graph_payload(outcome.graph),
+    return _outcome_json(_graph_json(outcome.graph), outcome, timings)
+
+
+def _graph_json(g: Graph) -> str:
+    """The outcome JSON's "graph" value, the same for every outcome on g,
+    so a scan can serialize it once."""
+    return json.dumps(_graph_payload(g))
+
+
+def _outcome_json(graph_json: str, outcome: SearchOutcome, timings: bool) -> str:
+    """The outcome's JSON with graph_json spliced in as its first field."""
+    fields = json.dumps({
         "k": outcome.k,
         "result": outcome.result,
         "word": str(outcome.word) if outcome.word is not None else None,
         "explored": outcome.explored,
         "millis": round(outcome.millis, 3) if timings else 0,
-    }
-    return json.dumps(payload)
+    })
+    return f'{{"graph": {graph_json}, {fields[1:]}'
 
 
 class _Symmetry:

@@ -1,3 +1,4 @@
+import argparse
 import doctest
 import io
 import json
@@ -540,6 +541,65 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     assert expected[0] != expected[1] and expected[4] != expected[5]
     assert expected[2][0][0] == 2 and expected[3][0][0] == 1
     assert expected[6][1] == 1 and expected[7][1] == 0
+
+
+PARSE_TABLE = [
+    [], ["-h"], ["--help"], ["bogus"], ["selftest"], ["-h", "repnum"],
+    ["--", "repnum", "g", "--max-k", "1"],
+    ["gen"], ["gen", "-h"], ["gen", "hexagon", "-n", "6"], ["gen", "complete", "-n", "3"],
+    ["gen", "cycle", "-n", "4", "--format", "json"], ["gen", "cube", "-k", "3"], ["gen", "cube", "-h"],
+    ["gen", "prism", "-n", "3"], ["gen", "product", "a", "b", "--format", "json"], ["gen", "product", "-", "-"],
+    ["gen", "complete", "-n", "3", "--bogus"],
+    ["construct"], ["construct", "-h"], ["construct", "cube", "-k", "3", "--verify"],
+    ["construct", "prism", "-n", "5"], ["construct", "complete", "-n", "3", "-k", "2"],
+    ["construct", "product-k2"], ["construct", "product-k2", "w.txt", "--verify"],
+    ["construct", "product-kn", "-n", "3", "w.txt"], ["construct", "product-kn", "-h"],
+    ["check", "w", "g"], ["check", "-", "g", "--explain"], ["check", "-", "-"], ["check", "w"], ["check", "-h"],
+    ["repnum", "g", "--max-k", "3"], ["repnum", "-", "--max-k", "2", "--budget", "30", "--timings"],
+    ["repnum", "g", "--max-k", "3", "--use-automorphisms", "--use-reversal"], ["repnum", "g"], ["repnum", "-h"],
+    ["repnum", "g", "--max-k", "1", "extra"],
+    # the usage errors tested above
+    ["gen", "complete", "-n", "1001"], ["gen", "cycle", "-n", "100000000"], ["gen", "prism", "-n", "1001"],
+    ["construct", "prism", "-n", "100000000"], ["construct", "complete", "-n", "1001", "-k", "2"],
+    ["construct", "complete", "-n", "2", "-k", "100000000"], ["construct", "complete", "-n", "2", "-k", "0"],
+    ["construct", "product-kn", "-n", "1000000"], ["construct", "product-kn", "-n", "1"],
+    ["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"], ["construct", "cube", "-k", "0"],
+    ["repnum", "g", "--max-k", "0"], ["repnum", "g", "--max-k", "-1"], ["repnum", "g", "--max-k", "-7"],
+    ["repnum", "g", "--max-k", "two"], ["repnum", "g", "--max-k", "1", "--budget", "0"],
+    ["repnum", "g", "--max-k", "1", "--budget", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # main() hands a leading command's arguments to that command's parser;
+    # whatever it parses, prints or exits with must be what the full parser
+    # does with the whole argv, whether argv is given or read from sys.argv
+    parser = _build_parser()
+    try:
+        expected = (parser.parse_args(argv), None)
+    except SystemExit as exc:
+        expected = (None, int(exc.code or 0))
+    expected += capsys.readouterr()
+    handled = []
+    for name in parser.commands:
+        monkeypatch.setattr(f"wordrep.cli.cmd_{name}", lambda args: handled.append(args) or 0)
+    full, parse_args = [], argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, args=None, namespace=None: full.append(args) or parse_args(self, args, namespace))
+    monkeypatch.setattr("sys.argv", ["wordrep", *argv])
+    for given in (argv, None):
+        handled.clear()
+        code = main(given)
+        got = (handled[0] if handled else None, None if handled else code, *capsys.readouterr())
+        if argv.count("-") > 1:
+            # stdin named twice: parsed alike, then refused by main() itself
+            assert got[:2] == (None, 2) and got[3].startswith("error: stdin")
+        else:
+            assert got == expected and code == (0 if handled else expected[1])
+        if handled:
+            # a parse that succeeds never reaches the full parser
+            assert full == []
 
 
 def test_readme_quick_tour_runs_as_written():

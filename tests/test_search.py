@@ -8,6 +8,7 @@ import pytest
 from conftest import reference_search, restriction_alternates
 from wordrep import (
     Graph,
+    SearchOutcome,
     Word,
     cartesian_product,
     complete,
@@ -411,6 +412,37 @@ def test_outcome_json_shape_and_determinism():
     assert timed["millis"] >= 0
     exhausted = json.loads(outcome_to_json(is_k_representable(cycle(4), 1)))
     assert exhausted["result"] == "exhausted" and exhausted["word"] is None
+
+
+def test_outcome_json_is_the_full_payload_dumped_at_once():
+    # the graph's JSON is serialized on its own and spliced in; the line
+    # must be what one json.dumps of the whole payload writes
+    isolated = graph_from_json('{"nodes": ["b", "a"], "edges": []}')
+    mixed = graph_from_json('{"nodes": ["0", "1", "2"], "edges": [["1", "2"]]}')
+    outcomes = [
+        is_k_representable(complete(2), 1),  # witness at k = 1
+        is_k_representable(cycle(4), 2),  # witness
+        is_k_representable(cycle(4), 1),  # exhausted at k = 1
+        is_k_representable(cube(3), 2),  # exhausted
+        is_k_representable(cube(3), 2, budget=8),  # resource-limit
+        is_k_representable(isolated, 1),
+        is_k_representable(isolated, 2),
+        is_k_representable(mixed, 2),
+        SearchOutcome(mixed, 2, "witness", Word("0 0 1 2 1 2"), 7, 1.23456),
+    ]
+    assert {o.result for o in outcomes} == {"witness", "exhausted", "resource-limit"}
+    for o in outcomes:
+        for timings in (False, True):
+            payload = {
+                "graph": json.loads(graph_to_json(o.graph)),
+                "k": o.k,
+                "result": o.result,
+                "word": None if o.word is None else str(o.word),
+                "explored": o.explored,
+                "millis": round(o.millis, 3) if timings else 0,
+            }
+            assert outcome_to_json(o, timings=timings) == json.dumps(payload), (o, timings)
+    assert json.loads(outcome_to_json(outcomes[5]))["graph"] == {"nodes": ["a", "b"], "edges": []}
 
 
 def test_outcome_and_graph_json_share_one_payload():
