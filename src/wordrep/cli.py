@@ -21,6 +21,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    _read_file,
     cartesian_product,
     complete,
     cube,
@@ -37,10 +38,7 @@ from .words import Word, parse_words, restrict
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    return sys.stdin.read() if path == "-" else _read_file(path)
 
 
 def _load_graph_arg(path: str) -> Graph:

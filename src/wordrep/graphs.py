@@ -9,7 +9,7 @@ are named "g@h" with '@' reserved for that purpose.
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from operator import or_
 from collections.abc import Iterable, Iterator
 
@@ -62,9 +62,16 @@ def _graph(names: list[str], ends: Iterable[int] = (), masks: list[int] | None =
     index = dict(zip(sorted(names) if masks is None else names, range(len(names))))
     if masks is None:
         rank = list(map(index.__getitem__, names))
-        masks = [0] * len(names)
+        ends = map(rank.__getitem__, ends)
+    return _indexed(index, ends, masks)
+
+
+def _indexed(index: dict[str, int], ends: Iterable[int], masks: list[int] | None = None) -> Graph:
+    """The graph whose ``index`` maps its sorted names to their positions, with ``masks`` or, when none
+    are given, an edge between each two consecutive positions of ``ends``."""
+    if masks is None:
+        masks = [0] * len(index)
         for i, j in zip(*[iter(ends)] * 2):
-            i, j = rank[i], rank[j]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     g = object.__new__(Graph)
@@ -73,16 +80,18 @@ def _graph(names: list[str], ends: Iterable[int] = (), masks: list[int] | None =
 
 
 def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) -> Graph:
-    """The graph on ``nodes``, names in input order, whose edges are the pairs ``edges`` or, when given,
-    each two consecutive names of ``flat``; the pairs are walked only to word the first bad edge."""
+    """The graph on ``nodes``, valid names in any order, whose edges are the pairs ``edges`` or, when
+    given, each two consecutive names of ``flat``: the distinct names are sorted once, and each end is
+    looked up once, straight to its sorted position.  The pairs are walked only to word the first bad
+    edge."""
     _check_tokens(nodes := list(nodes))  # before hashing or sorting, which raise TypeError on some non-str
-    at = dict(zip(names := list(dict.fromkeys(nodes)), count()))
+    index = dict(zip(sorted(set(nodes)), count()))
     if flat is None:
         edges = list(edges)
         pairs = set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
         flat = chain.from_iterable(edges) if pairs else None
     try:
-        g = _graph(names, map(at.__getitem__, flat))
+        g = _indexed(index, map(index.__getitem__, flat))
     except (KeyError, TypeError):  # TypeError: flat is None, or an end is unhashable
         g = None
     if g is None or any(m >> i & 1 for i, m in enumerate(g.masks)):  # the second: a self-loop
@@ -90,7 +99,7 @@ def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) 
             if type(e) not in (tuple, list) or len(e) != 2 or not set(map(type, e)) <= {str}:
                 raise ValueError(f"each edge must be a pair of node names, got {e!r}")
             u, v = e
-            if u == v or u not in at or v not in at:
+            if u == v or u not in index or v not in index:
                 raise ValueError(f"self-loop at {u!r} not allowed" if u == v else
                                  f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
     return g
@@ -212,9 +221,9 @@ def _alternation_rows(w: Word, index: dict[str, int]) -> list[int] | None:
 
 def graph_of_word(w: Word) -> Graph:
     """The graph on alphabet(w) whose edges are the alternating pairs, from one O(|w|) sweep."""
-    names = sorted(w.counts)
-    rows = _alternation_rows(w, {x: i for i, x in enumerate(names)})
-    return _graph(names, [x for i, row in enumerate(rows) for j in _bits(row) for x in (i, j)])
+    index = dict(zip(sorted(w.counts), count()))
+    rows = _alternation_rows(w, index)
+    return _indexed(index, [x for i, row in enumerate(rows) for j in _bits(row) for x in (i, j)])
 
 
 def represents(w: Word, g: Graph) -> bool:
@@ -235,11 +244,12 @@ def graph_from_edges_text(text: str) -> Graph:
     lines = text.splitlines()
     if "#" in text:  # comment lines are blanked, so that line i is still lines[i - 1]
         lines = ["" if raw.lstrip().startswith("#") else raw for raw in lines]
+        text = " ".join(lines)  # split() takes every line break for whitespace, so text splits as its lines do
     widths = list(map(len, map(str.split, lines)))
     if max(widths, default=0) > 2:
         lineno = next(compress(count(1), map((2).__lt__, widths)))
         raise ValueError(f"line {lineno}: expected 'u v' or 'u', got {lines[lineno - 1].strip()!r}")
-    tokens = " ".join(lines).split()  # in input order, so the first bad name is reported
+    tokens = text.split()  # in input order, so the first bad name is reported
     # the edges' ends are the tokens of the lines of two
     flat = list(compress(tokens, b"".join(map((b"", b"\0", b"\1\1").__getitem__, widths)))) if 1 in widths else tokens
     return _named(dict.fromkeys(tokens), zip(*[iter(flat)] * 2), flat)
@@ -268,11 +278,12 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError("'nodes' must be an array of strings")
     if not isinstance(edges, list):
         raise ValueError("'edges' must be an array of 2-arrays of strings")
+    # the ends are flattened once, type-checked in one pass and handed on
     if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {str}):
+            and set(map(type, flat := list(chain.from_iterable(edges)))) <= {str}):
         e = next(e for e in edges if not (type(e) is list and len(e) == 2 and set(map(type, e)) <= {str}))
         raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
-    return _named(dict.fromkeys(chain(nodes, *edges)), edges, chain.from_iterable(edges))
+    return _named(dict.fromkeys(chain(nodes, flat)), edges, flat)
 
 
 def parse_graph(text: str) -> Graph:
@@ -282,5 +293,12 @@ def parse_graph(text: str) -> Graph:
 
 def load_graph(path: str) -> Graph:
     """Read a graph file; its content picks the format, as in parse_graph."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_file(path))
+
+
+def _read_file(path: str) -> str:
+    """The file's text, decoded from UTF-8 in one piece; CRLF and lone CR line ends read as LF, as in
+    text mode."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -56,8 +56,8 @@ class Word:
     unambiguous.  The empty word is allowed.  The distinct tokens are
     validated in one regex pass (per 4,096), and the error names the first
     bad one.  Words assembled from valid words (``+``, ``restrict``, the
-    constructions' concatenations) are not validated again, and they count
-    their letters only when ``counts`` is first read.  ``letters`` and
+    constructions' concatenations) are not validated again.  Every word
+    counts its letters only when ``counts`` is first read.  ``letters`` and
     ``counts`` are read-only; ``counts`` lists the symbols in
     first-occurrence order.
     """
@@ -69,13 +69,13 @@ class Word:
             letters = letters.split()
         seq = tuple(letters)
         try:
-            counts = Counter(seq)
+            distinct = dict.fromkeys(seq)  # in first-occurrence order, so the error names the first bad token
         except TypeError:
             _check_tokens(seq)  # rejects the unhashable token: it is no str
             raise ValueError("invalid symbol token: unhashable value") from None
-        _check_tokens(counts)
+        _check_tokens(distinct)
         self._letters: tuple[str, ...] = seq
-        self._counts: dict[str, int] | None = dict(counts)
+        self._counts: dict[str, int] | None = None
 
     @classmethod
     def _trusted(cls, letters: tuple[str, ...]) -> "Word":
@@ -157,10 +157,4 @@ def uniformity(w: Word) -> int | None:
 def parse_words(text: str) -> list[Word]:
     """Parse the word file format: one word per line, tokens separated by
     whitespace, blank lines skipped, lines starting with '#' are comments."""
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(Word(stripped))
-    return out
+    return [Word(tokens) for tokens in map(str.split, text.splitlines()) if tokens and tokens[0][0] != "#"]

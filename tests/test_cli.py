@@ -11,7 +11,7 @@ import pytest
 from wordrep import (Graph, Word, cartesian_product, complete, constructions, cube, cube_word, cycle,
                      graph_from_edges_text, graph_of_word, graph_to_edges_text, graphs, outcome_to_json,
                      representation_number, represents, search)
-from wordrep.cli import _build_parser, _explain_mismatch, main
+from wordrep.cli import _build_parser, _explain_mismatch, _read_text, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -343,6 +343,37 @@ def test_check_picks_the_graph_format_by_content_not_name(capsys, monkeypatch, t
         code, out, err = run(capsys, ["check", "-", str(graph_file)], stdin=word,
                              monkeypatch=monkeypatch)
         assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_files_read_alike_under_every_line_end(capsys, tmp_path, end):
+    # files are decoded as UTF-8, and CRLF and lone CR line ends read as LF, as in text mode
+    g = cartesian_product(cycle(3), complete(2))
+    word = run(capsys, ["construct", "prism", "-n", "3"])[1]
+    files = {"w": "# the 3-prism\n\n" + word, "g.edges": "# the 3-prism\n" + graph_to_edges_text(g),
+             "g.json": graphs.graph_to_json(g)}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.replace("\n", end).encode())
+    assert _read_text(str(tmp_path / "w")) == files["w"]
+    for name in ("g.edges", "g.json"):
+        assert graphs.load_graph(str(tmp_path / name)) == g
+        assert run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / name)]) == (0, "", "")
+
+
+def test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it(capsys, tmp_path):
+    (tmp_path / "w").write_text("a b a b\n")
+    (tmp_path / "g.json").write_bytes(b'{"nodes": ["a"],\r\n "edges": [["a", "b"]\r ,]}')
+    code, out, err = run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / "g.json")])
+    assert (code, out, err) == (2, "", "error: bad graph JSON: Expecting value: line 3 column 3 (char 41)\n")
+
+
+@pytest.mark.parametrize("bad", ["w", "g"])
+def test_invalid_utf8_is_one_error_line_and_exit_2(capsys, tmp_path, bad):
+    (tmp_path / "w").write_bytes(b"a \xff a b\n" if bad == "w" else b"a b a b\n")
+    (tmp_path / "g").write_bytes(b"a \xff\n" if bad == "g" else b"a b\n")
+    code, out, err = run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / "g")])
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"
 
 
 @pytest.mark.parametrize("argv", [["check", "w.txt", "g.json"], ["repnum", "g.json", "--max-k", "1"],

@@ -2,6 +2,7 @@ import hashlib
 import random
 import time
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -266,6 +267,81 @@ def test_edges_text_parser_matches_a_line_by_line_parser():
         assert outcome(graph_from_edges_text, text) == expected, repr(text)
         seen.add(type(expected) if isinstance(expected, Graph) else expected.split(":")[0].split(" ")[0])
     assert {Graph, "line", "self-loop", "invalid"} <= seen
+
+
+def reference_json(text):
+    """The JSON graph parser written from the format's definition, as (sorted
+    names, edges as sorted pairs): the payload's shape is checked first, then
+    each edge in order, then every name in input order (nodes, then ends),
+    then each edge for a self-loop.  An end that is not in "nodes" is a node."""
+    payload = json.loads(text)
+    if type(payload) is not dict:
+        raise ValueError("graph JSON must be an object with 'nodes' and 'edges'")
+    nodes, edges = payload.get("nodes", []), payload.get("edges", [])
+    if type(nodes) is not list or any(type(v) is not str for v in nodes):
+        raise ValueError("'nodes' must be an array of strings")
+    if type(edges) is not list:
+        raise ValueError("'edges' must be an array of 2-arrays of strings")
+    for e in edges:
+        if type(e) is not list or len(e) != 2 or any(type(v) is not str for v in e):
+            raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
+    names = nodes + [v for e in edges for v in e]
+    for v in names:
+        if re.fullmatch(r"[A-Za-z0-9_]+(@[A-Za-z0-9_]+)*", v) is None:
+            raise ValueError(f"invalid symbol token: {v!r}")
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at {u!r} not allowed")
+    return sorted(set(names)), {(min(e), max(e)) for e in edges}
+
+
+def test_json_parser_matches_a_reference_parser():
+    # duplicate nodes, extra keys, an empty or missing "nodes", edges of
+    # arity 0, 1 and 3, non-str and nested ends, self-loops and ends outside
+    # "nodes", in seeded random mixtures: the graph or the first error
+    rng = random.Random(8191)
+    names = ["1", "10", "2", "a", "a_", "x@y"]
+    odd = [None, 5, 1.5, True, [], ["a"], {"a": "b"}, "b!", "", "x@"]
+
+    def end():
+        return rng.choice(names) if rng.random() < 0.9 else rng.choice(odd)
+
+    def edge():
+        shape = rng.random()
+        if shape < 0.8:
+            return [end(), end()]
+        if shape < 0.9:
+            return [end() for _ in range(rng.choice([0, 1, 3]))]
+        return rng.choice(odd + ["ab", ("a", "b")])
+
+    seen = set()
+    for _ in range(1500):
+        payload = {}
+        if rng.random() < 0.9:
+            payload["nodes"] = [rng.choice(names) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.05:
+                payload["nodes"].append(rng.choice(odd))
+        if rng.random() < 0.9:
+            payload["edges"] = [edge() if rng.random() < 0.1 else [rng.choice(names), rng.choice(names)]
+                                for _ in range(rng.randint(0, 6))]
+        if rng.random() < 0.1 and "edges" in payload:
+            # an edge of one end and one of three: as many ends as two pairs
+            at = rng.randint(0, len(payload["edges"]))
+            payload["edges"][at:at] = [[rng.choice(names)], [rng.choice(names) for _ in range(3)]]
+        if rng.random() < 0.1:
+            payload["extra"] = rng.choice(odd)
+        if rng.random() < 0.05:
+            payload[rng.choice(["nodes", "edges"])] = rng.choice(odd + ["ab"])
+        if rng.random() < 0.03:
+            payload = rng.choice([[], "g", None, 3])
+        text = json.dumps(payload)
+        expected = outcome(reference_json, text)
+        got = outcome(graph_from_json, text)
+        if isinstance(got, Graph):
+            got = list(got.names), got.edges
+        assert got == expected, text
+        seen.add(Graph if isinstance(expected, tuple) else expected.split(" ")[0])
+    assert {Graph, "graph", "'nodes'", "'edges'", "each", "invalid", "self-loop"} <= seen
 
 
 @pytest.mark.parametrize("text, error", [

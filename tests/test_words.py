@@ -173,3 +173,15 @@ def test_parse_words_skips_comments_and_blanks():
     text = "# header\n3 1 4 2 1 3 2 4\n\n  1 2  \n# trailing\n"
     assert parse_words(text) == [SEED_WORD, Word("1 2")]
     assert parse_words("") == []
+
+
+def test_a_parsed_word_counts_its_letters_on_the_first_read():
+    w = Word("b a b")
+    assert w._counts is None  # validated, not counted
+    assert w.counts == {"b": 2, "a": 1} and list(w.counts) == ["b", "a"]
+    # the distinct tokens keep their first-occurrence order, so the error names the first bad one
+    with pytest.raises(ValueError, match=r"^invalid symbol token: 'b!'$"):
+        Word(["a", "b!", "c!"])
+    # a ValueError, not a TypeError: the names are validated before they are hashed
+    with pytest.raises(ValueError, match="invalid symbol token"):
+        Graph([["a"]])
