@@ -42,11 +42,12 @@ only for the non-neighbours still unbroken in x's, and it is decided
 before the letter is written, so a rejected letter has nothing to undo.
 Without the triple cut it does most of the pruning.  The lex-leader cut
 asks _Symmetry, built once per query, and only when a smaller free node
-has x's degree; _Symmetry owns the one automorphism search, which looks
-for a single automorphism extending a partial map.  codes[t] holds triple
-t's restriction as an int and member[x] the (triple, role) pairs of x,
-both built once per query by triples.build, which also decides whether
-the query follows any triple.  The triple cut looks x's new codes up in
+has x's degree; _Symmetry.cuts is the one automorphism search, which
+fixes the placed nodes, maps x first and then the other free nodes in
+position order.  codes[t] holds triple t's restriction as an int and
+member[x] the (triple, role) pairs of x, both built once per query by
+triples.build, which also decides whether the query follows any
+triple.  The triple cut looks x's new codes up in
 triples.memo(k), one memo per k shared by all queries.  Each stack frame
 holds a placed letter x, the pairs it newly broke, the since list from
 before it and the iterator over the candidates at its position; popping
@@ -125,7 +126,7 @@ class _Symmetry:
     automorphism can map x to, and of_degree maps each degree to the mask
     of the nodes with it.  memo maps (placed, x) to whether some
     automorphism that fixes every placed node maps x to a smaller node;
-    it lives as long as the query.
+    it lives as long as the query.  cuts is the one automorphism search.
     """
 
     __slots__ = ("g", "twins", "of_degree", "memo")
@@ -144,73 +145,44 @@ class _Symmetry:
 
     def cuts(self, x: int, placed: int) -> bool:
         """Whether an automorphism fixing each node of ``placed`` maps the
-        free node x to a smaller one; memoised."""
+        free node x to a smaller one; memoised.
+
+        One backtracking search on an explicit stack.  The placed nodes
+        are their own images from the start; x is mapped first, to a
+        smaller free node of its degree, and then each other free node in
+        position order to a free node of its degree.  Node a may go to an
+        unused b iff b's neighbours among the used images are exactly the
+        images of a's mapped neighbours: one mask compare,
+        nbr[b] & used == want.
+        """
         key = (placed, x)
         cut = self.memo.get(key)
-        if cut is None:
-            nbr = self.g.masks
-            cut = False
-            for y in _bits(self.twins[x] & ~placed):
-                diff = nbr[x] ^ nbr[y]
-                if diff & placed:
-                    continue  # one fixing placed would give y x's placed neighbours
-                # swapping x and y is one when they differ in nothing else
-                if diff & ~(1 << x | 1 << y):
-                    start = {p: p for p in _bits(placed)}
-                    start[x] = y
-                    if self.automorphism(start) is None:
-                        continue
-                cut = True
-                break
-            self.memo[key] = cut
-        return cut
-
-    def automorphism(self, start: dict[int, int]) -> dict[int, int] | None:
-        """The first automorphism of the graph that extends the nonempty
-        partial map ``start``, as a dict from node position to image
-        position, or None; None also when ``start`` itself breaks adjacency.
-
-        Backtracking on an explicit stack: the nodes of ``start`` are
-        mapped first, in its order and only to their given images, then
-        the other nodes, each time the one with the most mapped neighbours
-        (the smallest on a tie), so that adjacency constraints bite early.
-        Node a may go to an unused b of a's degree iff b's neighbours among
-        the used images are exactly the images of a's mapped neighbours:
-        one mask compare, nbr[b] & used == want.
-        """
+        if cut is not None:
+            return cut
         nbr, of_degree = self.g.masks, self.of_degree
-        order = list(start)
-        mapped = sum(1 << a for a in order)
-        rest = set(range(len(nbr))).difference(order)
-        while rest:
-            a = min(rest, key=lambda i: (-(nbr[i] & mapped).bit_count(), i))
-            order.append(a)
-            mapped |= 1 << a
-            rest.remove(a)
-        image: dict[int, int] = {}
-        done = used = 0  # masks of the mapped nodes and of their images
+        n = len(nbr)
+        order = [x, *_bits((1 << n) - 1 & ~placed & ~(1 << x))]
+        image = list(range(n))  # a placed node is its own image
+        done = used = placed  # masks of the mapped nodes and of their images
 
-        def options(a: int) -> Iterator[int]:
+        def options(a: int, free: int) -> Iterator[int]:
             want = 0
             for a2 in _bits(nbr[a] & done):
                 want |= 1 << image[a2]
-            free = of_degree[nbr[a].bit_count()] & ~used
-            if a in start:
-                free &= 1 << start[a]
-            return iter([b for b in _bits(free) if nbr[b] & used == want])
+            return iter([b for b in _bits(free & ~used) if nbr[b] & used == want])
 
         stack: list[Iterator[int]] = []
-        candidates = options(order[0])
+        candidates = options(x, self.twins[x])
         while True:
             b = next(candidates, None)
             if b is None:
                 # no image left for this node: unmap the one before it
                 if not stack:
-                    return None
+                    break
                 candidates = stack.pop()
                 a = order[len(stack)]
                 done ^= 1 << a
-                used ^= 1 << image.pop(a)
+                used ^= 1 << image[a]
                 continue
             a = order[len(stack)]
             image[a] = b
@@ -218,8 +190,12 @@ class _Symmetry:
             used |= 1 << b
             stack.append(candidates)
             if len(stack) == len(order):
-                return image
-            candidates = options(order[len(stack)])
+                break
+            a = order[len(stack)]
+            candidates = options(a, of_degree[nbr[a].bit_count()])
+        # the stack is full after a whole map is found and empty after none is
+        cut = self.memo[key] = bool(stack)
+        return cut
 
 
 def is_k_representable(

@@ -137,10 +137,6 @@ class _Live(dict):
         edges, left, _, broken = state
         if not any(left):
             return edges | broken == 0b111  # every non-edge broken
-        if edges == _SHAPE_EDGES[EDGE] and left[2] > 1:
-            # two copies of role 2, side by side, break both of its pairs,
-            # and the edge's pair, alternating so far, can go on alternating
-            return True
         return self.states.get(state)
 
     def _completable(self, start: tuple) -> bool:

@@ -1,8 +1,8 @@
 """Shared test plumbing: caps each test's run time, collects
 acceptance-criterion verdicts to print one line per criterion in the
 terminal summary, counts validated tokens, and holds the tests' one
-pairwise alternation oracle, their reference search and a graph
-relabelling."""
+pairwise alternation oracle, their reference search, a random uniform
+word and a graph relabelling."""
 import signal
 import sys
 
@@ -70,6 +70,13 @@ def restriction_alternates(letters, x, y):
     token sequence ``letters`` to {x, y} has no two equal neighbours."""
     kept = [t for t in letters if t == x or t == y]
     return all(a != b for a, b in zip(kept, kept[1:]))
+
+
+def random_uniform_word(rng, size, k):
+    """A random k-uniform word over the nodes "1".."size"."""
+    letters = [str(i) for i in range(1, size + 1)] * k
+    rng.shuffle(letters)
+    return Word(letters)
 
 
 def reference_search(g, k):

@@ -8,11 +8,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import record_criterion, reference_search, restriction_alternates
+from conftest import random_uniform_word, record_criterion, reference_search, restriction_alternates
 from wordrep import (
     ChainConditionError,
     Graph,
-    Word,
     cartesian_product,
     complete,
     complete_word,
@@ -42,12 +41,6 @@ def criterion(number, description):
             record_criterion(number, description, True)
         return wrapper
     return deco
-
-
-def random_uniform_word(rng, size, k):
-    letters = [str(i) for i in range(1, size + 1)] * k
-    rng.shuffle(letters)
-    return Word(letters)
 
 
 def product_batch(seed, count):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import relabel, restriction_alternates
+from conftest import random_uniform_word, relabel, restriction_alternates
 from wordrep import constructions, graphs, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
@@ -29,12 +29,6 @@ from wordrep import (
     restrict,
     uniformity,
 )
-
-
-def random_uniform_word(rng, size, k):
-    letters = [str(i) for i in range(1, size + 1)] * k
-    rng.shuffle(letters)
-    return Word(letters)
 
 
 def test_product_k2_word_on_k2_seed():

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import random_uniform_word
 from wordrep import (
     ChainConditionError,
     OccurrenceBasedFunction,
@@ -19,12 +20,6 @@ from wordrep import (
 from wordrep.constructions import _copy_functions
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
-
-
-def random_uniform_word(rng, size, k):
-    letters = [str(i) for i in range(1, size + 1)] * k
-    rng.shuffle(letters)
-    return Word(letters)
 
 
 def test_table_must_be_total():
