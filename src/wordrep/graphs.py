@@ -216,7 +216,9 @@ def _alternation_rows(w: Word, index: dict[str, int]) -> list[int] | None:
         return None
     # at_most[c]: symbols occurring <= c times, up to the top count, as a | 0 would copy a
     at_most = list(accumulate(classes[:max(seen, default=0) + 1], or_))
-    return [acc[i] & at_most[c] for i, c in enumerate(seen)]
+    for i, c in enumerate(seen):  # in place, so that one list of rows is alive at a time
+        acc[i] &= at_most[c]
+    return acc
 
 
 def graph_of_word(w: Word) -> Graph:

@@ -56,12 +56,11 @@ after x.
 """
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, _edge_count, _graph_payload, represents
+from .graphs import Graph, _bits, _edge_count, _edge_pairs, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -103,20 +102,25 @@ def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
 
 def _graph_json(g: Graph) -> str:
     """The outcome JSON's "graph" value, the same for every outcome on g,
-    so a scan can serialize it once."""
-    return json.dumps(_graph_payload(g))
+    so a scan can serialize it once.  It is joined from the names as
+    json.dumps of the payload would write it: every name the package builds
+    or parses is a validated token (ASCII letters, digits, '_' and '@'), so
+    none needs escaping and json writes each one verbatim between quotes."""
+    nodes = '", "'.join(g.names)
+    edges = '"], ["'.join(map('", "'.join, _edge_pairs(g)))
+    nodes = f'"{nodes}"' if nodes else ""
+    edges = f'["{edges}"]' if edges else ""
+    return f'{{"nodes": [{nodes}], "edges": [{edges}]}}'
 
 
 def _outcome_json(graph_json: str, outcome: SearchOutcome, timings: bool) -> str:
-    """The outcome's JSON with graph_json spliced in as its first field."""
-    fields = json.dumps({
-        "k": outcome.k,
-        "result": outcome.result,
-        "word": str(outcome.word) if outcome.word is not None else None,
-        "explored": outcome.explored,
-        "millis": round(outcome.millis, 3) if timings else 0,
-    })
-    return f'{{"graph": {graph_json}, {fields[1:]}'
+    """The outcome's JSON with graph_json spliced in as its first field and
+    json.dumps's separators: the result is one of three fixed strings and a
+    word a run of validated tokens, so neither needs escaping."""
+    word = "null" if outcome.word is None else f'"{outcome.word}"'
+    millis = repr(round(outcome.millis, 3)) if timings else "0"
+    return (f'{{"graph": {graph_json}, "k": {outcome.k}, "result": "{outcome.result}", '
+            f'"word": {word}, "explored": {outcome.explored}, "millis": {millis}}}')
 
 
 class _Symmetry:

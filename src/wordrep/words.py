@@ -54,12 +54,12 @@ class Word:
     which is also the serialized form: ``Word("3 1 4 2")`` equals
     ``Word(["3", "1", "4", "2"])``.  Multi-character symbols are therefore
     unambiguous.  The empty word is allowed.  The distinct tokens are
-    validated in one regex pass (per 4,096), and the error names the first
-    bad one.  Words assembled from valid words (``+``, ``restrict``, the
-    constructions' concatenations) are not validated again.  Every word
-    counts its letters only when ``counts`` is first read.  ``letters`` and
-    ``counts`` are read-only; ``counts`` lists the symbols in
-    first-occurrence order.
+    validated as a set in one regex pass (per 4,096), and the error names
+    the first bad one in input order.  Words assembled from valid words
+    (``+``, ``restrict``, the constructions' concatenations) are not
+    validated again.  Every word counts its letters only when ``counts`` is
+    first read.  ``letters`` and ``counts`` are read-only; ``counts`` lists
+    the symbols in first-occurrence order.
     """
 
     __slots__ = ("_letters", "_counts")
@@ -69,11 +69,14 @@ class Word:
             letters = letters.split()
         seq = tuple(letters)
         try:
-            distinct = dict.fromkeys(seq)  # in first-occurrence order, so the error names the first bad token
+            distinct = set(seq)
         except TypeError:
             _check_tokens(seq)  # rejects the unhashable token: it is no str
             raise ValueError("invalid symbol token: unhashable value") from None
-        _check_tokens(distinct)
+        try:
+            _check_tokens(distinct)
+        except ValueError:  # checked again in first-occurrence order, which raises for the first bad token
+            _check_tokens(dict.fromkeys(seq))
         self._letters: tuple[str, ...] = seq
         self._counts: dict[str, int] | None = None
 

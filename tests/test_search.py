@@ -24,7 +24,7 @@ from wordrep import (
     uniformity,
 )
 from wordrep import graphs, triples, words
-from wordrep.search import _Symmetry
+from wordrep.search import _Symmetry, _graph_json
 from wordrep.triples import _Live
 
 
@@ -426,9 +426,19 @@ def test_outcome_json_shape_and_determinism():
     assert exhausted["result"] == "exhausted" and exhausted["word"] is None
 
 
+def _random_named_graph(rng):
+    """A graph of 1-9 nodes with names from a pool that holds '@' names,
+    edges drawn at a random density, and often an isolated node or more."""
+    pool = ["a", "b", "z", "0", "10", "x_1", "A@b", "a@0", "0@1@2", "_"]
+    names = rng.sample(pool, rng.randint(1, 9))
+    p = rng.choice([0.0, 0.3, 0.7, 1.0])
+    return Graph(names, [(u, v) for u, v in combinations(names, 2) if rng.random() < p])
+
+
 def test_outcome_json_is_the_full_payload_dumped_at_once():
-    # the graph's JSON is serialized on its own and spliced in; the line
-    # must be what one json.dumps of the whole payload writes
+    # the graph's JSON and each outcome line are joined from the names, the
+    # word and the counts; the line must be what one json.dumps of the whole
+    # payload writes, byte for byte
     isolated = graph_from_json('{"nodes": ["b", "a"], "edges": []}')
     mixed = graph_from_json('{"nodes": ["0", "1", "2"], "edges": [["1", "2"]]}')
     outcomes = [
@@ -440,13 +450,29 @@ def test_outcome_json_is_the_full_payload_dumped_at_once():
         is_k_representable(isolated, 1),
         is_k_representable(isolated, 2),
         is_k_representable(mixed, 2),
+        SearchOutcome(Graph([]), 1, "exhausted", None, 0, 0.0),  # no nodes: the search refuses them
+        is_k_representable(cartesian_product(cycle(4), complete(3)), 1),
         SearchOutcome(mixed, 2, "witness", Word("0 0 1 2 1 2"), 7, 1.23456),
     ]
-    assert {o.result for o in outcomes} == {"witness", "exhausted", "resource-limit"}
+    # seeded random graphs, each with an outcome of every result and a
+    # millis from 1e-6 to 1e6, and some millis that round at the third place
+    rng = random.Random(31)
+    results = ("witness", "exhausted", "resource-limit")
+    for _ in range(200):
+        g = _random_named_graph(rng)
+        for result in results:
+            word = Word(list(g.names) * 2) if result == "witness" else None
+            millis = 10 ** rng.uniform(-6, 6)
+            outcomes.append(SearchOutcome(g, 2, result, word, rng.randrange(10 ** 6), millis))
+    for millis in (1e-6, 0.0004, 0.0005, 0.0015, 2.5e-3, 1.0, 999.9995, 123456.789, 1e6):
+        outcomes.append(SearchOutcome(cube(3), 3, "exhausted", None, 0, millis))
+    assert {o.result for o in outcomes} == set(results)
     for o in outcomes:
+        graph = json.loads(graph_to_json(o.graph))
+        assert _graph_json(o.graph) == json.dumps(graph), o.graph
         for timings in (False, True):
             payload = {
-                "graph": json.loads(graph_to_json(o.graph)),
+                "graph": graph,
                 "k": o.k,
                 "result": o.result,
                 "word": None if o.word is None else str(o.word),
@@ -455,6 +481,7 @@ def test_outcome_json_is_the_full_payload_dumped_at_once():
             }
             assert outcome_to_json(o, timings=timings) == json.dumps(payload), (o, timings)
     assert json.loads(outcome_to_json(outcomes[5]))["graph"] == {"nodes": ["a", "b"], "edges": []}
+    assert _graph_json(Graph([])) == '{"nodes": [], "edges": []}'
 
 
 def test_outcome_and_graph_json_share_one_payload():

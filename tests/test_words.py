@@ -122,6 +122,17 @@ def test_word_and_graph_name_the_first_bad_token():
             build(["a", "b@", 7])
 
 
+def test_word_names_its_first_bad_token_among_many():
+    # the distinct tokens are checked as a set, whose order is not the
+    # input's; the error still names the first bad token in input order
+    bad = [f"t{i}-" for i in range(300)]
+    tokens = [tok for i, b in enumerate(bad) for tok in ("a", b, f"v{i}", b)]
+    assert [t for t in set(tokens) if t in bad] != bad
+    for letters, first in ((tokens, "t0-"), (" ".join(tokens), "t0-"), (tokens[::-1], "t299-")):
+        with pytest.raises(ValueError, match=rf"^invalid symbol token: '{first}'$"):
+            Word(letters)
+
+
 def test_restrict_examples():
     assert restrict(SEED_WORD, {"1", "2"}) == Word("1 2 1 2")
     assert restrict(SEED_WORD, {"1", "3"}) == Word("3 1 1 3")
