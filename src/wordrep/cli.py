@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
     # the k-cube has 2^k nodes: building its word grows 2-2.5x in time per
     # dimension (k = 18: 13 s, 314 MB), while gen and --verify grow 2-4x in
-    # time and memory (k = 16 --verify: 11 s, 1.6 GB), and cube() refuses k > 17
+    # time and memory (k = 16 --verify: 9-10 s, 1.06 GB), and cube() refuses k > 17
     cube_dimension = _int_within(1, MAX_CUBE_DIMENSION)
     # K_n has n(n-1)/2 edges: gen complete -n 1000 writes 499,500 lines.
     # The same bound caps the copies a construction makes of each node

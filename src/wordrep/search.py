@@ -48,7 +48,11 @@ position order.  codes[t] holds triple t's restriction as an int and
 member[x] the (triple, role) pairs of x, both built once per query by
 triples.build, which also decides whether the query follows any
 triple.  The triple cut looks x's new codes up in
-triples.memo(k), one memo per k shared by all queries.  Each stack frame
+triples.memo(k), one memo per k shared by all queries, and stops at the
+first dead one; that triple moves to the front of member[x], so the
+triple that last cut x is asked first the next time x is tried.  The
+check is an AND over x's triples, so their order changes no answer and
+no explored count, only the number of lookups.  Each stack frame
 holds a placed letter x, the pairs it newly broke, the since list from
 before it and the iterator over the candidates at its position; popping
 a frame undoes the letter, and the search resumes with the candidate
@@ -281,8 +285,16 @@ def is_k_representable(
             elif twins[x] & ~since[x] and cuts(x, since[x]):
                 continue
             roles = member[x]
-            if roles and not all([live[codes[t] << 2 | r] for t, r in roles]):
-                continue  # some triple's restriction has no completion
+            for i, (t, r) in enumerate(roles):
+                if live[codes[t] << 2 | r] is None:
+                    break
+            else:
+                i = -1
+            if i >= 0:
+                # this triple's restriction has no completion: ask it first
+                # the next time x is tried
+                roles.insert(0, roles.pop(i))
+                continue
             explored += 1
             # Alternation keeps two counts within one, so a non-edge u that
             # still alternates with the complete x has k - 1 or k copies, and

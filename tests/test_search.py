@@ -198,25 +198,43 @@ def test_search_agrees_with_naive_oracle():
                 assert is_k_representable(g, k).found == naive_k_representable(g, k)
 
 
+class _CountingLive(_Live):
+    """The triple cut's memo, counting its lookups: the search's, and those
+    a miss makes of the code without its last letter."""
+
+    def __init__(self, k):
+        self.lookups = 0
+        super().__init__(k)
+
+    def __getitem__(self, code):
+        self.lookups += 1
+        return super().__getitem__(code)
+
+
 @pytest.mark.parametrize(
-    "make, explored",
+    "make, explored, lookups",
     [
-        (lambda: cartesian_product(complete(3), complete(2)), 25),
-        (lambda: cartesian_product(complete(4), complete(2)), 40),
-        (lambda: cube(3), 43),
-        (lambda: cartesian_product(cycle(5), complete(2)), 548),
-        (lambda: cartesian_product(path3(), complete(3)), 273),
+        (lambda: cartesian_product(complete(3), complete(2)), 25, 355),
+        (lambda: cartesian_product(complete(4), complete(2)), 40, 979),
+        (lambda: cube(3), 43, 1_087),
+        (lambda: cartesian_product(cycle(5), complete(2)), 548, 18_385),
+        (lambda: cartesian_product(path3(), complete(3)), 273, 7_865),
     ],
     ids=["K3xK2", "K4xK2", "Q3", "C5xK2", "P3xK3"],
 )
-def test_pinned_k2_exhaustion_counts(make, explored):
+def test_pinned_k2_exhaustion_counts(monkeypatch, make, explored, lookups):
     # the k = 2 exhaustions behind the paper's lower bounds (K4xK2 is the
     # 16-position one), and two 20- and 18-position ones that took
-    # 1,408,741 and 138,566 explored before the triple cut; explored counts
-    # do not depend on the machine, so a change to the pruning rules has to
-    # update them on purpose
+    # 1,408,741 and 138,566 explored before the triple cut.  From a fresh
+    # memo the triple check makes the pinned lookups: it stops at the first
+    # dead triple and asks first the one that last cut the node (asking
+    # every triple took 628, 2,500, 2,758, 73,411 and 26,228).  Neither
+    # count depends on the machine, so a change to the pruning rules or to
+    # the check's order has to update them on purpose
+    live = _CountingLive(2)
+    monkeypatch.setitem(triples._MEMOS, 2, live)
     o = is_k_representable(make(), 2)
-    assert (o.result, o.explored) == ("exhausted", explored)
+    assert (o.result, o.explored, live.lookups) == ("exhausted", explored, lookups)
 
 
 def test_complete_graph_minus_its_last_edge_exhausts_at_once():
@@ -267,6 +285,34 @@ def test_pinned_small_graph_totals():
     graphs = [g for size in range(1, 6) for g in all_graphs(size)]
     total = sum(is_k_representable(g, k).explored for g in graphs for k in (1, 2, 3))
     assert (len(graphs), total) == (1_099, 31_149)
+
+
+def test_order_of_the_triple_check_changes_nothing(monkeypatch):
+    # the triple check is an AND over the placed node's triples, and the
+    # search reorders them as it goes (the one that last cut a node is
+    # asked first), so the order must change no result, witness or
+    # explored count: with each node's triples shuffled as they are built,
+    # every query gives the outcome it gives without the shuffle
+    queries = [(g, k) for size in range(1, 6) for g in all_graphs(size) for k in (1, 2, 3)]
+    queries += [(cartesian_product(complete(3), complete(2)), 2),
+                (cartesian_product(cycle(5), complete(2)), 2), (wheel5(), 3)]
+
+    def outcomes():
+        return [(o.result, o.word, o.explored) for o in (is_k_representable(g, k) for g, k in queries)]
+
+    plain = outcomes()
+    build = triples.build
+    for seed in range(3):
+        rng = random.Random(seed)
+
+        def shuffled(nbr, non):
+            codes, member = build(nbr, non)
+            for roles in member:
+                rng.shuffle(roles)
+            return codes, member
+
+        monkeypatch.setattr(triples, "build", shuffled)
+        assert outcomes() == plain, seed
 
 
 def test_non_edge_lookahead_cuts_beside_the_triple_cut():
