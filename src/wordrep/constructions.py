@@ -17,7 +17,7 @@ from itertools import repeat
 
 from .graphs import MAX_CUBE_DIMENSION
 from .obf import OccurrenceBasedFunction, apply
-from .words import Word, _check_tokens, _concat, uniformity
+from .words import Word, _check_names, _concat, uniformity
 
 
 def _require_uniform_above_1(w: Word) -> int:
@@ -72,7 +72,7 @@ def product_kn_functions(alphabet: Iterable[str], k: int, n: int) -> list[Occurr
     """
     if n < 1:
         raise ValueError(f"product needs n >= 1 copies, got {n}")
-    _check_tokens(xs := list(alphabet))
+    _check_names(xs := list(alphabet))
     return _copy_functions(xs, k, [f"@{j}" for j in range(1, n + 1)])
 
 

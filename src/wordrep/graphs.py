@@ -8,12 +8,11 @@ are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 
-import json
 from itertools import accumulate, chain, compress, count
 from operator import or_
 from collections.abc import Iterable, Iterator
 
-from .words import Word, _check_tokens
+from .words import Word, _check_names
 
 
 class NamingConflictError(ValueError):
@@ -80,12 +79,11 @@ def _indexed(index: dict[str, int], ends: Iterable[int], masks: list[int] | None
 
 
 def _named(nodes: Iterable[str], edges: Iterable, flat: Iterable | None = None) -> Graph:
-    """The graph on ``nodes``, valid names in any order, whose edges are the pairs ``edges`` or, when
-    given, each two consecutive names of ``flat``: the distinct names are sorted once, and each end is
-    looked up once, straight to its sorted position.  The pairs are walked only to word the first bad
-    edge."""
-    _check_tokens(nodes := list(nodes))  # before hashing or sorting, which raise TypeError on some non-str
-    index = dict(zip(sorted(set(nodes)), count()))
+    """The graph on ``nodes``, names in any order and with repeats, whose edges are the pairs ``edges`` or,
+    when given, each two consecutive names of ``flat``: the distinct names are validated by _check_names
+    and sorted once, and each end is looked up once, straight to its sorted position.  The pairs are
+    walked only to word the first bad edge."""
+    index = dict(zip(sorted(_check_names(list(nodes))), count()))
     if flat is None:
         edges = list(edges)
         pairs = set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
@@ -254,7 +252,7 @@ def graph_from_edges_text(text: str) -> Graph:
     tokens = text.split()  # in input order, so the first bad name is reported
     # the edges' ends are the tokens of the lines of two
     flat = list(compress(tokens, b"".join(map((b"", b"\0", b"\1\1").__getitem__, widths)))) if 1 in widths else tokens
-    return _named(dict.fromkeys(tokens), zip(*[iter(flat)] * 2), flat)
+    return _named(tokens, zip(*[iter(flat)] * 2), flat)
 
 
 def _graph_payload(g: Graph) -> dict[str, list]:
@@ -263,10 +261,12 @@ def _graph_payload(g: Graph) -> dict[str, list]:
 
 
 def graph_to_json(g: Graph) -> str:
+    import json
     return json.dumps(_graph_payload(g), indent=2) + "\n"
 
 
 def graph_from_json(text: str) -> Graph:
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,7 +285,7 @@ def graph_from_json(text: str) -> Graph:
             and set(map(type, flat := list(chain.from_iterable(edges)))) <= {str}):
         e = next(e for e in edges if not (type(e) is list and len(e) == 2 and set(map(type, e)) <= {str}))
         raise ValueError(f"each edge must be a 2-array of strings, got {e!r}")
-    return _named(dict.fromkeys(chain(nodes, flat)), edges, flat)
+    return _named(nodes + flat, edges, flat)
 
 
 def parse_graph(text: str) -> Graph:

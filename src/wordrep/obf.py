@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 
-from .words import Word, _check_tokens, _concat, uniformity
+from .words import Word, _check_names, _concat, uniformity
 
 
 class ChainConditionError(ValueError):
@@ -45,8 +45,9 @@ class OccurrenceBasedFunction:
 
     The table must cover exactly domain x 1..bound; an image is a
     sequence of tokens, a :class:`Word` or a whitespace-separated string,
-    read as ``Word`` reads it.  Domain symbols and image tokens are
-    validated here, in one batch.
+    read as ``Word`` reads it.  Domain symbols, then image tokens, are
+    validated as a set and, only if that fails, again in this order, so
+    that the error names the first bad one whatever the hash seed.
     """
 
     __slots__ = ("bound", "images")
@@ -59,7 +60,7 @@ class OccurrenceBasedFunction:
     ):
         _check_bound(bound)
         images: dict[str, tuple[tuple[str, ...], ...]] = {}
-        for x in frozenset(domain):
+        for x in dict.fromkeys(domain):
             row = []
             for i in range(1, bound + 1):
                 if (x, i) not in table:
@@ -71,7 +72,7 @@ class OccurrenceBasedFunction:
             keys = {(x, i) for x in images for i in range(1, bound + 1)}
             extra = next(key for key in table if key not in keys)
             raise ValueError(f"table entry {extra!r} is outside the domain x 1..{bound}")
-        _check_tokens(chain(images, chain.from_iterable(chain.from_iterable(images.values()))))
+        _check_names([*images, *chain.from_iterable(chain.from_iterable(images.values()))])
         self.bound = bound
         self.images = images
 
@@ -125,8 +126,7 @@ def projection(indices: Iterable[int], alphabet: Iterable[str], bound: int) -> O
     """The occurrence-based function keeping exactly the occurrences whose
     index lies in ``indices`` and erasing the rest."""
     idx = _check_index_set(indices, bound)
-    dom = frozenset(alphabet)
-    _check_tokens(dom)  # the images hold no other tokens
+    dom = _check_names(list(alphabet))  # the images hold no other tokens
     return OccurrenceBasedFunction._trusted(
         bound, {x: tuple((x,) if i in idx else () for i in range(1, bound + 1)) for x in dom}
     )

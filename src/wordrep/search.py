@@ -61,8 +61,8 @@ after x.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .graphs import Graph, _bits, _edge_count, _edge_pairs, represents
 from .words import Word
@@ -70,8 +70,7 @@ from .words import Word
 DEFAULT_BUDGET = 24
 
 
-@dataclass(frozen=True, slots=True)
-class SearchOutcome:
+class SearchOutcome(namedtuple("SearchOutcome", "graph k result word explored millis")):
     """Result of one k-representability query.
 
     result is "witness" (word holds a verified representant), "exhausted"
@@ -86,12 +85,7 @@ class SearchOutcome:
     k = 1 query is answered without search, with explored 0.
     """
 
-    graph: Graph
-    k: int
-    result: str
-    word: Word | None
-    explored: int
-    millis: float
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

@@ -47,6 +47,21 @@ def _check_tokens(tokens: Iterable[str]) -> None:
                 check_symbol(tok)
 
 
+def _check_names(names: Sequence[str]) -> set[str]:
+    """The distinct ``names``, validated as a set; only if that fails are they checked again in input
+    order, so that the error names the first bad one whatever the hash seed."""
+    try:
+        distinct = set(names)
+    except TypeError:
+        _check_tokens(names)  # rejects the unhashable name: it is no str
+        raise ValueError("invalid symbol token: unhashable value") from None
+    try:
+        _check_tokens(distinct)
+    except ValueError:  # checked again in first-occurrence order, which raises for the first bad name
+        _check_tokens(dict.fromkeys(names))
+    return distinct
+
+
 class Word:
     """An immutable word over symbol tokens.
 
@@ -67,16 +82,7 @@ class Word:
     def __init__(self, letters: Iterable[str] | str = ()):
         if isinstance(letters, str):
             letters = letters.split()
-        seq = tuple(letters)
-        try:
-            distinct = set(seq)
-        except TypeError:
-            _check_tokens(seq)  # rejects the unhashable token: it is no str
-            raise ValueError("invalid symbol token: unhashable value") from None
-        try:
-            _check_tokens(distinct)
-        except ValueError:  # checked again in first-occurrence order, which raises for the first bad token
-            _check_tokens(dict.fromkeys(seq))
+        _check_names(seq := tuple(letters))
         self._letters: tuple[str, ...] = seq
         self._counts: dict[str, int] | None = None
 

@@ -46,8 +46,9 @@ def validated_tokens(monkeypatch):
     """A one-element list counting the tokens handed to the validator from
     here on, and the set of modules patched to count them.  Tokens are
     counted, not check_symbol calls: the validator checks a batch in one
-    pass.  Every wordrep module holding it is patched, so a new importer
-    cannot hide tokens from the count."""
+    pass.  Every wordrep module holding it is patched, and words._check_names
+    calls it through words, so a module holding either is counted and a new
+    importer cannot hide tokens from the count."""
     tokens = [0]
     original = words._check_tokens
 
@@ -56,12 +57,13 @@ def validated_tokens(monkeypatch):
         tokens[0] += len(batch)
         return original(batch)
 
-    holders = {
-        module for name, module in sys.modules.items()
-        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original
-    }
-    for module in holders:
-        monkeypatch.setattr(module, "_check_tokens", counted)
+    holders = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original:
+            monkeypatch.setattr(module, "_check_tokens", counted)
+            holders.add(module)
+        elif name.startswith("wordrep.") and getattr(module, "_check_names", None) is words._check_names:
+            holders.add(module)
     return tokens, holders
 
 

@@ -3,6 +3,8 @@ import doctest
 import io
 import json
 import random
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +14,21 @@ from wordrep import (Graph, Word, cartesian_product, complete, constructions, cu
                      graph_from_edges_text, graph_of_word, graph_to_edges_text, graphs, outcome_to_json,
                      representation_number, represents, search)
 from wordrep.cli import _build_parser, _explain_mismatch, _read_text, main
+
+
+def test_import_loads_no_module_it_does_not_use():
+    # a CLI process mostly imports on small inputs: the entry point loads
+    # neither dataclasses (and the inspect it pulls in) nor json, which only
+    # the JSON graph format needs, nor the search's triple cut
+    script = f"""import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+import wordrep.cli
+print(*sorted({{"dataclasses", "inspect", "json", "wordrep.triples"}} & set(sys.modules)))
+wordrep.parse_graph('{{"nodes": ["a"], "edges": []}}')
+print("json" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["", "True"]
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):

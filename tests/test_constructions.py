@@ -289,6 +289,9 @@ def test_constructions_validate_no_tokens(validated_tokens):
     # not the 4 * 6 copies they derive
     product_kn_functions(base.alphabet, 3, 4)
     assert tokens[0] == 6
+    # and so do the entry points of obf and graphs, through the same count
+    projection({1}, base.alphabet, 3), Graph(base.alphabet)
+    assert tokens[0] == 18
     for reject in (
         lambda: product_kn_functions({"a", "b@"}, 2, 3),
         lambda: projection({1}, {"a", "b@"}, 2),

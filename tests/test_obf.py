@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,36 @@ def test_domain_symbols_are_validated_with_the_table():
     # copies, so the error names the given token, not a copy of it
     with pytest.raises(ValueError, match="invalid symbol token: 'b@'$"):
         product_kn_functions({"a", "b@"}, 2, 3)
+
+
+# Each entry point's error for three bad names, printed one per line; set
+# order follows the hash seed, so a set-ordered check names any of them.
+_FIRST_BAD_SCRIPT = """
+from wordrep import *
+bad = ["a!", "b!", "c!"]
+for build in (
+    lambda: OccurrenceBasedFunction(bad, 1, {(x, 1): (x,) for x in bad}),
+    lambda: OccurrenceBasedFunction(["a", "b"], 1, {("a", 1): bad, ("b", 1): ["z!"]}),
+    lambda: projection({1}, bad, 1),
+    lambda: product_kn_functions(bad, 2, 2),
+    lambda: Word(bad),
+    lambda: Graph(bad),
+    lambda: graph_from_edges_text("a! b!\\nc!"),
+    lambda: graph_from_json('{"nodes": ["a!"], "edges": [["b!", "c!"]]}'),
+):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_several_bad_names_report_the_first_in_the_callers_order(seed):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _FIRST_BAD_SCRIPT], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}).stdout
+    assert out.splitlines() == ["invalid symbol token: 'a!'"] * 8
 
 
 def test_table_entries_outside_the_domain_are_rejected():
