@@ -29,7 +29,6 @@ from .graphs import (
     graph_of_word,
     graph_to_edges_text,
     graph_to_json,
-    load_graph,
     parse_graph,
     represents,
 )
@@ -42,9 +41,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph_arg(path: str) -> Graph:
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    return load_graph(path)
+    return parse_graph(_read_text(path))
 
 
 def _read_one_word(path: str) -> Word:

@@ -14,7 +14,7 @@ words, is not validated again and is counted only when ``counts`` is read.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 from itertools import chain
 
 from .words import Word, _check_names, _concat, uniformity
@@ -125,10 +125,14 @@ def apply(h: OccurrenceBasedFunction, w: Word) -> Word:
 def projection(indices: Iterable[int], alphabet: Iterable[str], bound: int) -> OccurrenceBasedFunction:
     """The occurrence-based function keeping exactly the occurrences whose
     index lies in ``indices`` and erasing the rest."""
-    idx = _check_index_set(indices, bound)
-    dom = _check_names(list(alphabet))  # the images hold no other tokens
+    return _projection(_check_index_set(indices, bound), _check_names(list(alphabet)), bound)
+
+
+def _projection(indices: Set[int], names: Iterable[str], bound: int) -> OccurrenceBasedFunction:
+    """:func:`projection` on an index set and names known to be valid (the
+    images hold no other tokens); only the bound is checked."""
     return OccurrenceBasedFunction._trusted(
-        bound, {x: tuple((x,) if i in idx else () for i in range(1, bound + 1)) for x in dom}
+        bound, {x: tuple((x,) if i in indices else () for i in range(1, bound + 1)) for x in names}
     )
 
 
@@ -158,7 +162,7 @@ def lemma1_concat(w: Word, index_sets: Sequence[Iterable[int]]) -> Word:
     for j in range(1, k):
         if not any(j in a and j + 1 in a for a in sets):
             raise ChainConditionError(j)
-    return _concat([apply(projection(a, w.alphabet, k), w) for a in sets])
+    return _concat([apply(_projection(a, w.counts, k), w) for a in sets])
 
 
 def extend_uniform(w: Word, index: int) -> Word:

@@ -32,34 +32,26 @@ def check_symbol(token: str) -> str:
     return token
 
 
-def _check_tokens(tokens: Iterable[str]) -> None:
-    """Raise check_symbol's ValueError for the first invalid token, if any.
-    Each line of up to _LINE_TOKENS tokens is matched in one regex pass, and
-    only a line that fails is checked token by token."""
-    it = iter(tokens)
-    while line := list(islice(it, _LINE_TOKENS)):
-        try:
-            text = " ".join(line)
-        except TypeError:  # a token that is no str
-            text = ""
-        if _LINE_RE.fullmatch(text) is None or text.count(" ") != len(line) - 1:
-            for tok in line:
-                check_symbol(tok)
-
-
 def _check_names(names: Sequence[str]) -> set[str]:
-    """The distinct ``names``, validated as a set; only if that fails are they checked again in input
-    order, so that the error names the first bad one whatever the hash seed."""
+    """The distinct ``names``, validated as a set, each line of up to _LINE_TOKENS of them in one regex
+    pass; only if that fails are they checked one by one in input order, so that the error names the
+    first bad one whatever the hash seed."""
     try:
-        distinct = set(names)
-    except TypeError:
-        _check_tokens(names)  # rejects the unhashable name: it is no str
-        raise ValueError("invalid symbol token: unhashable value") from None
+        it = iter(distinct := set(names))
+        while line := list(islice(it, _LINE_TOKENS)):
+            text = " ".join(line)
+            if _LINE_RE.fullmatch(text) is None or text.count(" ") != len(line) - 1:
+                break
+        else:
+            return distinct
+    except TypeError:  # a name that is no str: unhashable, or not joinable
+        pass
     try:
-        _check_tokens(distinct)
-    except ValueError:  # checked again in first-occurrence order, which raises for the first bad name
-        _check_tokens(dict.fromkeys(names))
-    return distinct
+        names = dict.fromkeys(names)
+    except TypeError:  # an unhashable name, which check_symbol rejects where it stands
+        pass
+    for name in names:  # raises: a failed line holds a name that check_symbol rejects
+        check_symbol(name)
 
 
 class Word:

@@ -43,26 +43,26 @@ def _time_cap():
 
 @pytest.fixture
 def validated_tokens(monkeypatch):
-    """A one-element list counting the tokens handed to the validator from
-    here on, and the set of modules patched to count them.  Tokens are
-    counted, not check_symbol calls: the validator checks a batch in one
-    pass.  Every wordrep module holding it is patched, and words._check_names
-    calls it through words, so a module holding either is counted and a new
-    importer cannot hide tokens from the count."""
+    """A one-element list counting the distinct names handed to the
+    validator, words._check_names, from here on, and the set of modules
+    patched to count them.  Names are counted, not check_symbol calls: the
+    validator checks the distinct names in one pass.  Every wordrep module
+    holding the validator is patched, so a new importer cannot hide names
+    from the count."""
     tokens = [0]
-    original = words._check_tokens
+    original = words._check_names
 
-    def counted(batch):
-        batch = list(batch)
-        tokens[0] += len(batch)
-        return original(batch)
+    def counted(names):
+        try:
+            tokens[0] += len(set(names))
+        except TypeError:  # an unhashable name, which the validator rejects
+            tokens[0] += len(names)
+        return original(names)
 
     holders = set()
     for name, module in list(sys.modules.items()):
-        if name.startswith("wordrep.") and getattr(module, "_check_tokens", None) is original:
-            monkeypatch.setattr(module, "_check_tokens", counted)
-            holders.add(module)
-        elif name.startswith("wordrep.") and getattr(module, "_check_names", None) is words._check_names:
+        if name.startswith("wordrep.") and getattr(module, "_check_names", None) is original:
+            monkeypatch.setattr(module, "_check_names", counted)
             holders.add(module)
     return tokens, holders
 

@@ -363,8 +363,9 @@ def test_check_picks_the_graph_format_by_content_not_name(capsys, monkeypatch, t
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-def test_files_read_alike_under_every_line_end(capsys, tmp_path, end):
-    # files are decoded as UTF-8, and CRLF and lone CR line ends read as LF, as in text mode
+def test_files_read_alike_under_every_line_end(capsys, monkeypatch, tmp_path, end):
+    # files are decoded as UTF-8, and CRLF and lone CR line ends read as LF, as in text mode;
+    # a graph on stdin, which is read in text mode, loads as its file does
     g = cartesian_product(cycle(3), complete(2))
     word = run(capsys, ["construct", "prism", "-n", "3"])[1]
     files = {"w": "# the 3-prism\n\n" + word, "g.edges": "# the 3-prism\n" + graph_to_edges_text(g),
@@ -373,8 +374,16 @@ def test_files_read_alike_under_every_line_end(capsys, tmp_path, end):
         (tmp_path / name).write_bytes(text.replace("\n", end).encode())
     assert _read_text(str(tmp_path / "w")) == files["w"]
     for name in ("g.edges", "g.json"):
-        assert graphs.load_graph(str(tmp_path / name)) == g
-        assert run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / name)]) == (0, "", "")
+        path = str(tmp_path / name)
+        assert graphs.load_graph(path) == g
+        assert run(capsys, ["check", str(tmp_path / "w"), path]) == (0, "", "")
+        found = run(capsys, ["repnum", path, "--max-k", "3"])
+        assert found[0] == 0 and "representation number: 3\n" in found[1]
+        for argv, expected in ((["check", str(tmp_path / "w"), "-"], (0, "", "")),
+                               (["repnum", "-", "--max-k", "3"], found)):
+            stdin = io.TextIOWrapper(io.BytesIO((tmp_path / name).read_bytes()), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            assert run(capsys, argv) == expected
 
 
 def test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it(capsys, tmp_path):

@@ -19,7 +19,9 @@ from wordrep import (
     cube_word,
     cycle,
     cycle_word,
+    extend_uniform,
     graph_of_word,
+    lemma1_concat,
     prism_word,
     product_k2_word,
     product_kn_functions,
@@ -284,6 +286,9 @@ def test_constructions_validate_no_tokens(validated_tokens):
     prism_word(200)
     complete_word(5, 3)
     product_kn_word(base, 4)
+    # the projection concatenations build their projections from the
+    # word's own names, so they validate none of them again
+    assert graph_of_word(lemma1_concat(base, [{1, 2}, {2, 3}])) == graph_of_word(extend_uniform(base, 1))
     assert tokens[0] == 0
     # the product functions validate the m = 6 names of their alphabet,
     # not the 4 * 6 copies they derive

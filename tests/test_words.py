@@ -80,27 +80,41 @@ def _random_token(rng):
 
 
 def test_batch_validation_agrees_with_check_symbol():
-    # a batch passes iff every token passes check_symbol, and otherwise
-    # raises check_symbol's error for its first bad token; 4,100 tokens
-    # span two lines of the one-pass match
+    # the names pass iff every name passes check_symbol, and otherwise
+    # raise check_symbol's error for the first bad name in input order;
+    # 4,100 distinct names span two lines of the one-pass match
     rng = random.Random(15)
     for trial in range(1500):
         batch = [_random_token(rng) for _ in range(rng.choice([0, 1, 2, 3, 8, 40]))]
         if trial % 100 == 0:
-            batch = [_random_token(rng) if rng.random() < 0.0005 else "v1" for _ in range(4100)]
+            batch = [_random_token(rng) if rng.random() < 0.0005 else f"v{i}" for i in range(4100)]
         if rng.random() < 0.05:
             batch.insert(rng.randint(0, len(batch)), rng.choice([7, None, b"ab", ("a",), ["b"]]))
         bad = _first_invalid(batch)
         if bad is None:
-            words._check_tokens(batch)
+            assert words._check_names(batch) == set(batch)
             continue
         with pytest.raises(ValueError) as exc:
-            words._check_tokens(iter(batch))
+            words._check_names(batch)
         assert str(exc.value) == bad
-    words._check_tokens([])
+    assert words._check_names([]) == set()
     for joined in (["a b"], ["a", "b c", "d"], ["a\tb"], ["a\nb"]):
-        with pytest.raises(ValueError):  # one token holding a space is not two tokens
-            words._check_tokens(joined)
+        with pytest.raises(ValueError):  # one name holding a space is not two names
+            words._check_names(joined)
+    # a bad name that the set puts in its second line is named, also when
+    # a bad name of the first line comes later in the input
+    good = [f"v{i}" for i in range(4100)]
+
+    def line(batch, name):
+        return list(set(batch)).index(name) // words._LINE_TOKENS
+
+    one = next(b for b in ([*good[:2000], f"w{j}-", *good[2000:]] for j in range(100_000))
+               if line(b, b[2000]) == 1)
+    two = next(b for b in ([*one, f"x{j}-"] for j in range(100_000))
+               if line(b, b[2000]) == 1 and line(b, b[-1]) == 0)
+    for batch in (one, two):
+        with pytest.raises(ValueError, match=rf"^invalid symbol token: '{batch[2000]}'$"):
+            words._check_names(batch)
 
 
 def test_word_and_graph_name_the_first_bad_token():
