@@ -31,7 +31,6 @@ from .graphs import (
     graph_of_word,
     graph_to_edges_text,
     graph_to_json,
-    load_graph,
     parse_graph,
     represents,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "graph_of_word",
     "graph_to_edges_text",
     "graph_to_json",
-    "load_graph",
     "parse_graph",
     "represents",
     "complete_word",

@@ -21,7 +21,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
-    _read_file,
+    _graph_json,
     cartesian_product,
     complete,
     cube,
@@ -32,12 +32,18 @@ from .graphs import (
     parse_graph,
     represents,
 )
-from .search import DEFAULT_BUDGET, _graph_json, _outcome_json, representation_number
+from .search import DEFAULT_BUDGET, _outcome_json, representation_number
 from .words import Word, parse_words, restrict
 
 
 def _read_text(path: str) -> str:
-    return sys.stdin.read() if path == "-" else _read_file(path)
+    """The text of file ``path``, or of stdin for '-'.  A file is decoded from UTF-8 in one piece, and
+    its CRLF and lone CR line ends read as LF, as stdin's do in text mode."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _load_graph_arg(path: str) -> Graph:

@@ -255,14 +255,22 @@ def graph_from_edges_text(text: str) -> Graph:
     return _named(tokens, zip(*[iter(flat)] * 2), flat)
 
 
-def _graph_payload(g: Graph) -> dict[str, list]:
-    """The JSON object of ``g``: nodes and edges in name order."""
-    return {"nodes": list(g.names), "edges": [[u, v] for u, v in _edge_pairs(g)]}
-
-
 def graph_to_json(g: Graph) -> str:
+    """JSON form: the object of ``g``'s nodes and edges in name order, indented by two."""
     import json
-    return json.dumps(_graph_payload(g), indent=2) + "\n"
+    return json.dumps({"nodes": g.names, "edges": list(_edge_pairs(g))}, indent=2) + "\n"
+
+
+def _graph_json(g: Graph) -> str:
+    """The same object on one line, as json.dumps writes it without indent: the "graph" value of every
+    search outcome on g, so a scan can serialize it once.  It is joined from the names: every name the
+    package builds or parses is a validated token (ASCII letters, digits, '_' and '@'), so none needs
+    escaping and json writes each one verbatim between quotes."""
+    nodes = '", "'.join(g.names)
+    edges = '"], ["'.join(map('", "'.join, _edge_pairs(g)))
+    nodes = f'"{nodes}"' if nodes else ""
+    edges = f'["{edges}"]' if edges else ""
+    return f'{{"nodes": [{nodes}], "edges": [{edges}]}}'
 
 
 def graph_from_json(text: str) -> Graph:
@@ -291,16 +299,3 @@ def graph_from_json(text: str) -> Graph:
 def parse_graph(text: str) -> Graph:
     """JSON when the first non-blank character is '{' or '[', else an edge list."""
     return (graph_from_json if text.lstrip().startswith(("{", "[")) else graph_from_edges_text)(text)
-
-
-def load_graph(path: str) -> Graph:
-    """Read a graph file; its content picks the format, as in parse_graph."""
-    return parse_graph(_read_file(path))
-
-
-def _read_file(path: str) -> str:
-    """The file's text, decoded from UTF-8 in one piece; CRLF and lone CR line ends read as LF, as in
-    text mode."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode()
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -64,7 +64,7 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .graphs import Graph, _bits, _edge_count, _edge_pairs, represents
+from .graphs import Graph, _bits, _edge_count, _graph_json, represents
 from .words import Word
 
 DEFAULT_BUDGET = 24
@@ -96,19 +96,6 @@ def outcome_to_json(outcome: SearchOutcome, timings: bool = False) -> str:
     """Serialize an outcome; millis is 0 unless timings is requested, so
     that identical queries produce byte-identical output."""
     return _outcome_json(_graph_json(outcome.graph), outcome, timings)
-
-
-def _graph_json(g: Graph) -> str:
-    """The outcome JSON's "graph" value, the same for every outcome on g,
-    so a scan can serialize it once.  It is joined from the names as
-    json.dumps of the payload would write it: every name the package builds
-    or parses is a validated token (ASCII letters, digits, '_' and '@'), so
-    none needs escaping and json writes each one verbatim between quotes."""
-    nodes = '", "'.join(g.names)
-    edges = '"], ["'.join(map('", "'.join, _edge_pairs(g)))
-    nodes = f'"{nodes}"' if nodes else ""
-    edges = f'["{edges}"]' if edges else ""
-    return f'{{"nodes": [{nodes}], "edges": [{edges}]}}'
 
 
 def _outcome_json(graph_json: str, outcome: SearchOutcome, timings: bool) -> str:

@@ -12,7 +12,7 @@ import pytest
 
 from wordrep import (Graph, Word, cartesian_product, complete, constructions, cube, cube_word, cycle,
                      graph_from_edges_text, graph_of_word, graph_to_edges_text, graphs, outcome_to_json,
-                     representation_number, represents, search)
+                     parse_graph, representation_number, represents, search)
 from wordrep.cli import _build_parser, _explain_mismatch, _read_text, main
 
 
@@ -375,7 +375,7 @@ def test_files_read_alike_under_every_line_end(capsys, monkeypatch, tmp_path, en
     assert _read_text(str(tmp_path / "w")) == files["w"]
     for name in ("g.edges", "g.json"):
         path = str(tmp_path / name)
-        assert graphs.load_graph(path) == g
+        assert parse_graph(_read_text(path)) == g
         assert run(capsys, ["check", str(tmp_path / "w"), path]) == (0, "", "")
         found = run(capsys, ["repnum", path, "--max-k", "3"])
         assert found[0] == 0 and "representation number: 3\n" in found[1]
@@ -677,7 +677,7 @@ def test_public_surface_is_pinned():
         "cube", "cube_word", "cycle", "cycle_word", "extend_uniform",
         "graph_from_edges_text", "graph_from_json", "graph_of_word",
         "graph_to_edges_text", "graph_to_json", "is_k_representable",
-        "lemma1_concat", "load_graph", "outcome_to_json", "parse_graph", "parse_words",
+        "lemma1_concat", "outcome_to_json", "parse_graph", "parse_words",
         "prism_word", "product_k2_word", "product_kn_functions", "product_kn_word",
         "projection", "representation_number", "represents", "restrict", "uniformity",
     ]

@@ -22,10 +22,10 @@ from wordrep import (
     graph_of_word,
     graph_to_edges_text,
     graph_to_json,
-    load_graph,
     parse_graph,
     represents,
 )
+from wordrep.cli import _read_text, main
 from wordrep.graphs import _alternation_rows
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
@@ -592,8 +592,11 @@ def test_parse_graph_autodetects_format():
 
 @pytest.mark.parametrize("name", ["g.edges", "g.json", "g.txt", "g"])
 def test_load_graph_reads_either_format_under_any_name(tmp_path, name):
+    # a graph file is read by the CLI's one reader and parsed by its content, whatever its name
     g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
-    path = tmp_path / name
+    path, word = tmp_path / name, tmp_path / "w"
+    word.write_text("lonely lonely a b a c b c\n")
     for text in (graph_to_json(g), graph_to_edges_text(g)):
         path.write_text(text)
-        assert load_graph(str(path)) == g
+        assert parse_graph(_read_text(str(path))) == g
+        assert main(["check", str(word), str(path)]) == 0

@@ -24,7 +24,8 @@ from wordrep import (
     uniformity,
 )
 from wordrep import graphs, triples, words
-from wordrep.search import _Symmetry, _graph_json
+from wordrep.graphs import _graph_json
+from wordrep.search import _Symmetry
 from wordrep.triples import _Live
 
 
