@@ -15,12 +15,12 @@ After these two cuts comes the triple cut: restricting a k-representant
 to three nodes gives a k-representant of the subgraph they induce
 (Kitaev & Lozin, Words and Graphs, 2015), so a prefix whose restriction
 to some triple cannot be completed to one is dead (path consistency,
-Mackworth 1977).  It follows the induced paths and the triples with a
-single edge.  Triangles are left out, since a restriction whose three
-pairs alternate, as the edge cut keeps them, always completes, and so
-are empty triples, which cut next to nothing.  Every leaf
-reached then represents the graph, so the first one is the
-lexicographically smallest representant.  Every witness is re-checked
+Mackworth 1977).  It follows the triples that induce one or two edges.
+Triangles are left out, since a restriction whose three pairs
+alternate, as the edge cut keeps them, always completes, and so are
+empty triples, which cut next to nothing.  Every leaf reached then
+represents the graph, so the first one is the lexicographically
+smallest representant.  Every witness is re-checked
 with represents() before being returned, so no cut can produce a false
 positive.  k = 1 needs no search: a 1-uniform word alternates on every
 pair, so only a complete graph has one, and any order of its nodes is
@@ -204,8 +204,8 @@ def is_k_representable(
     places the first copy of a node only if no automorphism fixing the
     placed nodes maps it to a smaller free node (Crawford et al. 1996),
     which the smallest representant meets at every prefix.  It drops a
-    prefix whose restriction to an induced path or a single-edge triple
-    cannot be completed (Kitaev & Lozin 2015).  No cut changes an answer
+    prefix whose restriction to a triple with one or two edges cannot be
+    completed (Kitaev & Lozin 2015).  No cut changes an answer
     or a witness, and k = 1 is answered without search: a witness iff g
     is complete.  A query that needs more than budget word positions is
     refused: its outcome is "resource-limit" with nothing explored.
@@ -233,7 +233,7 @@ def is_k_representable(
 
     full = (1 << n) - 1
     non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
-    codes, member = triples.build(nbr, non)
+    codes, member = triples.build(nbr)
     live = triples.memo(k)
     sym = _Symmetry(g)
     twins, cuts = sym.twins, sym.cuts

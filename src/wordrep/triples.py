@@ -8,20 +8,19 @@ prefix is dead once some triple's restriction cannot be completed.  The
 search imports this module on its first query at k >= 2, so that the
 commands that never search do not compile it: without cached bytecode,
 compiling it with the search made `import wordrep` about 2.5 ms (12%)
-slower.  The tests check build() and count() against every triple of
-every graph of at most 5 nodes, and the memo against every completion of
-every prefix at k <= 3.
+slower.  The tests check build() against every triple of every graph of
+at most 5 nodes, and the memo against every completion of every prefix at
+k <= 3.
 """
 from __future__ import annotations
 
 
-# The two shapes of triple that the triple cut follows, with fixed roles
-# 0, 1, 2: an induced path 0 - 1 - 2, and a single edge 0 - 1 with 2 adjacent
-# to neither.  A triple's code is its shape followed by one two-bit digit per
-# letter of its restriction, the letter's role.  A pair of roles r, s is the
-# bit 1 << (r + s - 1): {0, 1} is 1, {0, 2} is 2 and {1, 2} is 4.
-PATH, EDGE = 1, 2
-_SHAPE_EDGES = {PATH: 0b101, EDGE: 0b001}
+# A triple's roles 0, 1, 2 are its nodes in position order, and a pair of
+# roles r, s is the bit 1 << (r + s - 1): {0, 1} is 1, {0, 2} is 2 and
+# {1, 2} is 4.  A triple's code is 8 | the bits of its induced edges,
+# followed by one two-bit digit per letter of its restriction, the
+# letter's role; so a code below 16 has no letter yet.
+
 # Above this many triples a query runs without the triple cut.  Building
 # C600's 358,200 took 0.8 s and about 90 MB, and K700 plus an isolated node's
 # 244,650 made its k = 2 query 1.35 s against 0.24 s without them (Python
@@ -30,54 +29,35 @@ _SHAPE_EDGES = {PATH: 0b101, EDGE: 0b001}
 MAX_TRIPLES = 4096
 
 
-def count(nbr: list[int]) -> int:
-    """The number of triples that hold one or two edges, from the degrees
-    alone: m(n - 1) - sum(d^2) / 2, in which the triangles cancel."""
-    degrees = [m.bit_count() for m in nbr]
-    return sum(degrees) // 2 * (len(nbr) - 1) - sum(d * d for d in degrees) // 2
-
-
-def build(nbr: list[int], non: list[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """The initial codes of the induced paths and single-edge triples, and
-    for each node its (triple, role) pairs; no triple at all when count()
-    is above MAX_TRIPLES, so that the query runs without the triple cut.
-    Both shapes are read off the non-neighbours of each node w: a path
-    w - v - c through each common neighbour v of w and a later non-neighbour
-    c, and a single edge a - b, a < b, between two non-neighbours of w.  The
-    loops take the bits off the masks in place: iterating them with a
-    generator per mask made the set-up of a 6-node query about twice as
-    slow."""
+def build(nbr: list[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """The initial codes of the triples with one or two edges, and for each
+    node its (triple, role) pairs; no triple at all once the build reaches
+    triple MAX_TRIPLES + 1, so that the query runs without the triple cut.
+    For each pair a < b the third nodes c > b are read off the masks: when
+    a - b is an edge, those outside nbr[a] & nbr[b], and when it is not,
+    those in nbr[a] | nbr[b].  The loop takes the bits off the mask in
+    place: iterating them with a generator per mask made the set-up of a
+    6-node query about twice as slow."""
     codes: list[int] = []
     member: list[list[tuple[int, int]]] = [[] for _ in nbr]
-    if count(nbr) > MAX_TRIPLES:
-        return codes, member
-    for w, far in enumerate(non):
-        later = far >> w << w
-        while later:
-            c = (later & -later).bit_length() - 1
-            later &= later - 1
-            centres = nbr[w] & nbr[c]
-            while centres:
-                v = (centres & -centres).bit_length() - 1
-                centres &= centres - 1
+    n = len(nbr)
+    full = (1 << n) - 1
+    for a in range(n):
+        na = nbr[a]
+        for b in range(a + 1, n):
+            nb = nbr[b]
+            ab = na >> b & 1
+            thirds = (full & ~(na & nb) if ab else na | nb) >> b + 1 << b + 1
+            while thirds:
+                c = (thirds & -thirds).bit_length() - 1
+                thirds &= thirds - 1
                 t = len(codes)
-                member[w].append((t, 0))
-                member[v].append((t, 1))
-                member[c].append((t, 2))
-                codes.append(PATH)
-        rest = far
-        while rest:
-            a = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            ends = far & nbr[a] >> a << a
-            while ends:
-                b = (ends & -ends).bit_length() - 1
-                ends &= ends - 1
-                t = len(codes)
+                if t == MAX_TRIPLES:
+                    return [], [[] for _ in nbr]
                 member[a].append((t, 0))
                 member[b].append((t, 1))
-                member[w].append((t, 2))
-                codes.append(EDGE)
+                member[c].append((t, 2))
+                codes.append(8 | ab | (na >> c & 1) << 1 | (nb >> c & 1) << 2)
     return codes, member
 
 
@@ -106,29 +86,31 @@ class _Live(dict):
     """The triple cut's memo for one k, shared by all queries: a triple's
     code maps to its compressed state when some letters of the triple,
     appended to the restriction the code spells, give a k-representant of
-    its shape, and to None when none do.
+    the subgraph its edges induce, and to None when none do.
 
-    A miss steps the state of the code without its last letter, which the
-    search asked for first, and decides the new state by a depth-first
-    search over compressed states on an explicit stack, memoised in states;
-    so no completion is ever written out.
+    A miss on a code with no letter starts from its edges and k copies of
+    each role; any other miss steps the state of the code without its last
+    letter, which the search asked for first.  Either decides the new
+    state by a depth-first search over compressed states on an explicit
+    stack, memoised in states; so no completion is ever written out.
     """
 
-    __slots__ = ("states",)
+    __slots__ = ("k", "states")
 
     def __init__(self, k: int):
         super().__init__()
+        self.k = k
         self.states: dict[tuple, bool] = {}
-        for shape, edges in _SHAPE_EDGES.items():
-            start = (edges, (k,) * 3, (), 0)
-            self[shape] = start if self._completable(start) else None
 
     def __missing__(self, code: int) -> tuple | None:
-        state = self[code >> 2]
-        if state is not None:
-            state = _step(state, code & 3)
-            if state is not None and not self._completable(state):
-                state = None
+        if code < 16:
+            state = (code & 7, (self.k,) * 3, (), 0)
+        else:
+            state = self[code >> 2]
+            if state is not None:
+                state = _step(state, code & 3)
+        if state is not None and not self._completable(state):
+            state = None
         self[code] = state
         return state
 
@@ -168,8 +150,8 @@ class _Live(dict):
         return False
 
 
-# k -> the triple cut's memo.  It holds facts about the two shapes only,
-# never about a graph, so every query in the process shares it.
+# k -> the triple cut's memo.  It holds facts about the edges of three
+# nodes only, never about a graph, so every query in the process shares it.
 _MEMOS: dict[int, _Live] = {}
 
 

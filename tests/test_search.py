@@ -58,9 +58,16 @@ def path3():
     return Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
 
 
-def non_edges(g):
-    full = (1 << len(g.masks)) - 1
-    return [full & ~m & ~(1 << x) for x, m in enumerate(g.masks)]
+def mixed_triples(nbr):
+    # by brute force, each triple of positions a < b < c with one or two
+    # edges, mapped to the bits of its edges: a pair of roles r < s (a is
+    # role 0, b role 1, c role 2) is the bit 1 << (r + s - 1)
+    found = {}
+    for t in combinations(range(len(nbr)), 3):
+        bits = sum(1 << r + s - 1 for (r, x), (s, y) in combinations(enumerate(t), 2) if nbr[x] >> y & 1)
+        if bits.bit_count() in (1, 2):
+            found[t] = bits
+    return found
 
 
 def test_witness_examples():
@@ -215,11 +222,11 @@ class _CountingLive(_Live):
 @pytest.mark.parametrize(
     "make, explored, lookups",
     [
-        (lambda: cartesian_product(complete(3), complete(2)), 25, 355),
-        (lambda: cartesian_product(complete(4), complete(2)), 40, 979),
-        (lambda: cube(3), 43, 1_087),
-        (lambda: cartesian_product(cycle(5), complete(2)), 548, 18_385),
-        (lambda: cartesian_product(path3(), complete(3)), 273, 7_865),
+        (lambda: cartesian_product(complete(3), complete(2)), 25, 386),
+        (lambda: cartesian_product(complete(4), complete(2)), 40, 998),
+        (lambda: cube(3), 43, 1_070),
+        (lambda: cartesian_product(cycle(5), complete(2)), 548, 18_357),
+        (lambda: cartesian_product(path3(), complete(3)), 273, 7_853),
     ],
     ids=["K3xK2", "K4xK2", "Q3", "C5xK2", "P3xK3"],
 )
@@ -229,7 +236,7 @@ def test_pinned_k2_exhaustion_counts(monkeypatch, make, explored, lookups):
     # 1,408,741 and 138,566 explored before the triple cut.  From a fresh
     # memo the triple check makes the pinned lookups: it stops at the first
     # dead triple and asks first the one that last cut the node (asking
-    # every triple took 628, 2,500, 2,758, 73,411 and 26,228).  Neither
+    # every triple takes 683, 2,555, 2,827, 73,530 and 26,302).  Neither
     # count depends on the machine, so a change to the pruning rules or to
     # the check's order has to update them on purpose
     live = _CountingLive(2)
@@ -306,8 +313,8 @@ def test_order_of_the_triple_check_changes_nothing(monkeypatch):
     for seed in range(3):
         rng = random.Random(seed)
 
-        def shuffled(nbr, non):
-            codes, member = build(nbr, non)
+        def shuffled(nbr):
+            codes, member = build(nbr)
             for roles in member:
                 rng.shuffle(roles)
             return codes, member
@@ -335,7 +342,8 @@ def test_non_edge_lookahead_cuts_above_max_triples():
     names = complete(100).names
     matching = {(names[i], names[i + 1]) for i in range(0, 100, 2)}
     g = Graph(names, [e for e in complete(100).edges if e not in matching])
-    assert triples.count(g.masks) == 4_900 > triples.MAX_TRIPLES
+    assert len(mixed_triples(g.masks)) == 4_900 > triples.MAX_TRIPLES
+    assert triples.build(g.masks) == ([], [[]] * 100)
     started = time.perf_counter()
     o = is_k_representable(g, 2, budget=200)
     assert time.perf_counter() - started < 1
@@ -343,29 +351,21 @@ def test_non_edge_lookahead_cuts_above_max_triples():
 
 
 def test_triple_count_and_triples_match_every_triple():
-    # on every labelled graph of at most 5 nodes the count read off the
-    # degrees is the number of triples with one or two edges, and the
-    # triples built are exactly those, each once, with its roles in place:
-    # a path 0 - 1 - 2, or an edge 0 - 1 and a node 2 adjacent to neither
+    # on every labelled graph of at most 5 nodes the triples built are
+    # exactly those with one or two edges, each once, with roles 0, 1, 2 on
+    # its nodes in position order and a code of 8 | the bits of its edges
     for size in range(1, 6):
         for g in all_graphs(size):
-            nbr = g.masks
-
-            def adjacent(a, b):
-                return bool(nbr[a] >> b & 1)
-
-            expected = {frozenset(t) for t in combinations(range(size), 3)
-                        if sum(adjacent(a, b) for a, b in combinations(t, 2)) in (1, 2)}
-            assert triples.count(nbr) == len(expected), sorted(g.edges)
-            codes, member = triples.build(nbr, non_edges(g))
+            codes, member = triples.build(g.masks)
             roles = [{} for _ in codes]
             for x, pairs in enumerate(member):
                 for t, r in pairs:
                     roles[t][r] = x
-            built = [(codes[t], roles[t][0], roles[t][1], roles[t][2]) for t in range(len(codes))]
-            assert {frozenset(b[1:]) for b in built} == expected and len(built) == len(expected)
-            for shape, a, b, c in built:
-                assert adjacent(a, b) and adjacent(b, c) != (shape == triples.EDGE) and not adjacent(a, c)
+            assert sum(map(len, member)) == 3 * len(codes), sorted(g.edges)
+            built = {(roles[t][0], roles[t][1], roles[t][2]): codes[t] for t in range(len(codes))}
+            expected = mixed_triples(g.masks)
+            assert len(built) == len(codes) == len(expected), sorted(g.edges)
+            assert built == {t: 8 | bits for t, bits in expected.items()}, sorted(g.edges)
 
 
 def test_triple_memo_matches_every_completion():
@@ -378,7 +378,7 @@ def test_triple_memo_matches_every_completion():
     pairs = list(combinations(names, 2))
     for edges in range(8):
         g = Graph(names, [p for i, p in enumerate(pairs) if edges >> i & 1])
-        codes, member = triples.build(g.masks, non_edges(g))
+        codes, member = triples.build(g.masks)
         if bin(edges).count("1") in (0, 3):
             assert codes == []
             continue
@@ -416,12 +416,15 @@ def test_high_k_queries_answer_at_once(monkeypatch):
 
 def test_triple_cut_is_off_above_max_triples(monkeypatch):
     # above the bound build() returns no triple, and the search is the one
-    # without the triple cut: K3xK2 explores 343 at k = 2 instead of 25
+    # without the triple cut: K3xK2 explores 343 at k = 2 instead of 25.
+    # At the bound every triple is built
     g = cartesian_product(complete(3), complete(2))
-    assert triples.count(g.masks) == 18
-    assert len(triples.build(g.masks, non_edges(g))[0]) == 18
+    assert len(mixed_triples(g.masks)) == 18
+    assert len(triples.build(g.masks)[0]) == 18
+    monkeypatch.setattr(triples, "MAX_TRIPLES", 18)
+    assert len(triples.build(g.masks)[0]) == 18
     monkeypatch.setattr(triples, "MAX_TRIPLES", 17)
-    assert triples.build(g.masks, non_edges(g)) == ([], [[]] * 6)
+    assert triples.build(g.masks) == ([], [[]] * 6)
     o = is_k_representable(g, 2)
     assert (o.result, o.explored) == ("exhausted", 343)
 
