@@ -1,10 +1,10 @@
 """Finite simple graphs, standard generators, Cartesian products, and the
 map from words to graphs via letter alternation.
 
-A graph is kept as an index, built by ``_graph`` from node positions: its
-sorted node names and one int adjacency mask per node.  Graph equality is
-name-sensitive: equal graphs have the same names and edges.  Product nodes
-are named "g@h" with '@' reserved for that purpose.
+A graph is kept as an index, built by ``_indexed``, which every builder
+ends in: its sorted node names and one int adjacency mask per node.
+Graph equality is name-sensitive: equal graphs have the same names and
+edges.  Product nodes are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 

@@ -29,17 +29,18 @@ reference search written from the definition, and the triple cut's memo
 with every completion of every prefix.
 
 The state is a few int bitmasks over the positions of the graph's sorted
-names.  nbr[x] is x's adjacency mask, read from the graph; non[x], built
-once per query, holds x's non-neighbours; brk[x] the partners whose
-alternation with x a repeat of x has broken, so that a pair is broken
-iff it is in either row; and since[x] the symbols placed after x's last
-copy, which for a node not yet placed is the placed set.  since is a new
-list at each depth.  A further copy of x repeats with every symbol
-outside since[x]: a neighbour there cuts the branch, and the
-non-neighbours there not yet in brk[x] are set there and unset when x is
-popped.  The non-edge lookahead at x's k-th copy reads a partner's row
-only for the non-neighbours still unbroken in x's, and it is decided
-before the letter is written, so a rejected letter has nothing to undo.
+names.  nbr[x] is x's adjacency mask, read from the graph; open[x]
+starts, once per query, as x's non-neighbours and loses each partner
+whose alternation with x a repeat of x breaks, so that a non-edge pair
+can still alternate iff it is in both rows; and since[x] holds the
+symbols placed after x's last copy, which for a node not yet placed is
+the placed set.  since is a new list at each depth.  A further copy of x
+repeats with every symbol outside since[x]: a neighbour there cuts the
+branch, and the partners there still in open[x] are its new breaks,
+flipped out of open[x] when x is placed and back in when x is popped.
+The non-edge lookahead at x's k-th copy reads a partner's row only for
+the partners still in x's, and it is decided before the letter is
+written, so a rejected letter has nothing to undo.
 Without the triple cut it does most of the pruning.  The lex-leader cut
 asks _Symmetry, built once per query, and only when a smaller free node
 has x's degree; _Symmetry.cuts is the one automorphism search, which
@@ -232,14 +233,13 @@ def is_k_representable(
     from . import triples
 
     full = (1 << n) - 1
-    non = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
+    open = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
     codes, member = triples.build(nbr)
     live = triples.memo(k)
     sym = _Symmetry(g)
     twins, cuts = sym.twins, sym.cuts
 
     counts = [0] * n
-    brk = [0] * n
     since = [0] * n
     ids = range(n)
     # one frame per placed letter x: (x, the pairs x newly broke, since
@@ -261,7 +261,7 @@ def is_k_representable(
                 # a neighbour not placed since the last x would repeat with it
                 if nbr[x] & ~since[x]:
                     continue
-                new = non[x] & ~(since[x] | brk[x])
+                new = open[x] & ~since[x]
             # a first copy: since[x] is the placed set
             elif twins[x] & ~since[x] and cuts(x, since[x]):
                 continue
@@ -280,13 +280,13 @@ def is_k_representable(
             # Alternation keeps two counts within one, so a non-edge u that
             # still alternates with the complete x has k - 1 or k copies, and
             # a last u can only follow the last x: the pair would alternate
-            # in every completion.  A pair is broken in x's row or in u's.
+            # in every completion.  Such a u is in open[x] and has x in open[u].
             if c + 1 == k:
-                unbroken = non[x] & ~(brk[x] | new)
-                if unbroken and not all([brk[u] >> x & 1 for u in _bits(unbroken)]):
+                unbroken = open[x] ^ new
+                if unbroken and any([open[u] >> x & 1 for u in _bits(unbroken)]):
                     continue
             counts[x] = c + 1
-            brk[x] |= new
+            open[x] ^= new
             bit = 1 << x
             for t, r in roles:
                 codes[t] = codes[t] << 2 | r
@@ -301,7 +301,7 @@ def is_k_representable(
                 break
             x, new, since, candidates = stack.pop()
             counts[x] -= 1
-            brk[x] ^= new
+            open[x] ^= new
             for t, _ in member[x]:
                 codes[t] >>= 2
             continue

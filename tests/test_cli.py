@@ -147,6 +147,15 @@ def test_construct_cube_and_verify(capsys):
     assert len(word) == 64 and represents(word, cube(4))
 
 
+def test_construct_verify_rejects_a_word_for_another_graph(capsys, monkeypatch):
+    # --verify checks the word against the graph the kind names, not against
+    # the word's own graph: a prism construction that returns the 6-prism's
+    # word for -n 5 fails the check, and no word is printed
+    monkeypatch.setattr("wordrep.cli.prism_word", lambda n: constructions.prism_word(n + 1))
+    message = "verification failed: constructed word does not represent the expected graph\n"
+    assert run(capsys, ["construct", "prism", "-n", "5", "--verify"]) == (1, "", message)
+
+
 def test_out_of_memory_is_one_error_line_and_exit_2(capsys, monkeypatch):
     # the verification sweep is where construct cube -k 15 --verify ran out
     # of memory under a 250 MB address-space cap

@@ -23,7 +23,7 @@ from wordrep import (
     represents,
     uniformity,
 )
-from wordrep import graphs, triples, words
+from wordrep import graphs, search, triples, words
 from wordrep.graphs import _graph_json
 from wordrep.search import _Symmetry
 from wordrep.triples import _Live
@@ -283,6 +283,29 @@ def test_pinned_wheel_counts():
     outcomes = [is_k_representable(wheel5(), k) for k in (1, 2, 3)]
     assert {o.result for o in outcomes} == {"exhausted"}
     assert [o.explored for o in outcomes] == [0, 25, 964]
+
+
+def test_a_rejected_leaf_backtracks_to_the_next_one(monkeypatch):
+    # every cut is sound, so represents() accepts every leaf the search
+    # reaches; a leaf it rejected would be backtracked from like any dead
+    # branch.  With the first leaf of the edgeless graph on a, b, c at
+    # k = 2 rejected, the search goes on to the next leaf, and with every
+    # leaf rejected it exhausts: no leaf is returned unchecked
+    g = Graph(["a", "b", "c"])
+    assert is_k_representable(g, 2).word == Word("a a b b c c")
+    seen = []
+
+    def all_but_the_first(w, h):
+        seen.append(w)
+        return len(seen) > 1 and represents(w, h)
+
+    monkeypatch.setattr(search, "represents", all_but_the_first)
+    o = is_k_representable(g, 2)
+    assert (o.result, o.word, o.explored) == ("witness", Word("a a b c c b"), 10)
+    assert seen == [Word("a a b b c c"), o.word] and represents(o.word, g)
+    monkeypatch.setattr(search, "represents", lambda w, h: False)
+    o = is_k_representable(g, 2)
+    assert (o.result, o.word, o.explored) == ("exhausted", None, 27)
 
 
 def test_pinned_small_graph_totals():
