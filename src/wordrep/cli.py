@@ -46,10 +46,6 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _load_graph_arg(path: str) -> Graph:
-    return parse_graph(_read_text(path))
-
-
 def _read_one_word(path: str) -> Word:
     words = parse_words(_read_text(path))
     if len(words) != 1:
@@ -67,8 +63,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif args.kind == "prism":
         g = cartesian_product(cycle(args.n), complete(2))
     else:
-        left = _load_graph_arg(args.left)
-        right = _load_graph_arg(args.right)
+        left = parse_graph(_read_text(args.left))
+        right = parse_graph(_read_text(args.right))
         g = cartesian_product(left, right)
     sys.stdout.write(graph_to_json(g) if args.format == "json" else graph_to_edges_text(g))
     return 0
@@ -126,7 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     words = parse_words(_read_text(args.word))
     if not words:
         raise ValueError("word input contains no words")
-    g = _load_graph_arg(args.graph)
+    g = parse_graph(_read_text(args.graph))
     for w in words:
         if not represents(w, g):
             if args.explain:
@@ -136,7 +132,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_repnum(args: argparse.Namespace) -> int:
-    g = _load_graph_arg(args.graph)
+    g = parse_graph(_read_text(args.graph))
     graph_json = _graph_json(g)  # serialized once, spliced into each outcome line
     for outcome in representation_number(g, args.max_k, budget=args.budget):
         print(_outcome_json(graph_json, outcome, args.timings))

@@ -42,13 +42,13 @@ The non-edge lookahead at x's k-th copy reads a partner's row only for
 the partners still in x's, and it is decided before the letter is
 written, so a rejected letter has nothing to undo.
 Without the triple cut it does most of the pruning.  The lex-leader cut
-asks _Symmetry, built once per query, and only when a smaller free node
-has x's degree; _Symmetry.cuts is the one automorphism search, which
-fixes the placed nodes, maps x first and then the other free nodes in
-position order.  codes[t] holds triple t's restriction as an int and
-member[x] the (triple, role) pairs of x, both built once per query by
-triples.build, which also decides whether the query follows any
-triple.  The triple cut looks x's new codes up in
+asks cuts, one cached closure per query from _lex_leader, and only when
+a smaller free node has x's degree; it is the one automorphism search,
+which fixes the placed nodes, maps x first and then the other free
+nodes in position order.  codes[t] holds triple t's restriction as an
+int and member[x] the (triple, role) pairs of x, both built once per
+query by triples.build, which also decides whether the query follows
+any triple.  The triple cut looks x's new codes up in
 triples.memo(k), one memo per k shared by all queries, and stops at the
 first dead one; that triple moves to the front of member[x], so the
 triple that last cut x is asked first the next time x is tried.  The
@@ -61,9 +61,10 @@ after x.
 """
 from __future__ import annotations
 
+import functools
 import time
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .graphs import Graph, _bits, _edge_count, _graph_json, represents
 from .words import Word
@@ -109,48 +110,31 @@ def _outcome_json(graph_json: str, outcome: SearchOutcome, timings: bool) -> str
             f'"word": {word}, "explored": {outcome.explored}, "millis": {millis}}}')
 
 
-class _Symmetry:
-    """The lex-leader cut's state for one query on one graph.
+def _lex_leader(g: Graph) -> tuple[list[int], Callable[[int, int], bool]]:
+    """The lex-leader cut's state for one query on g.  twins[x] holds the
+    nodes before x with x's degree, the only ones an automorphism can map
+    x to.  cuts(x, placed) is whether an automorphism fixing each node of
+    ``placed`` maps the free node x to a smaller one, cached for as long
+    as the query holds it.
 
-    twins[x] holds the nodes before x with x's degree, the only ones an
-    automorphism can map x to, and of_degree maps each degree to the mask
-    of the nodes with it.  memo maps (placed, x) to whether some
-    automorphism that fixes every placed node maps x to a smaller node;
-    it lives as long as the query.  cuts is the one automorphism search.
+    cuts is one backtracking search on an explicit stack.  The placed
+    nodes are their own images from the start; x is mapped first, to a
+    smaller free node of its degree, and then each other free node in
+    position order to a free node of its degree.  Node a may go to an
+    unused b iff b's neighbours among the used images are exactly the
+    images of a's mapped neighbours: one mask compare, nbr[b] & used == want.
     """
+    nbr = g.masks
+    n = len(nbr)
+    twins: list[int] = []
+    of_degree: dict[int, int] = {}  # degree -> mask of the nodes so far with it
+    for x, m in enumerate(nbr):
+        d = m.bit_count()
+        twins.append(of_degree.get(d, 0))
+        of_degree[d] = twins[x] | 1 << x
 
-    __slots__ = ("g", "twins", "of_degree", "memo")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        twins: list[int] = []
-        seen: dict[int, int] = {}  # degree -> mask of the nodes so far with it
-        for x, m in enumerate(g.masks):
-            d = m.bit_count()
-            twins.append(seen.get(d, 0))
-            seen[d] = twins[x] | 1 << x
-        self.twins = twins
-        self.of_degree = seen
-        self.memo: dict[tuple[int, int], bool] = {}
-
-    def cuts(self, x: int, placed: int) -> bool:
-        """Whether an automorphism fixing each node of ``placed`` maps the
-        free node x to a smaller one; memoised.
-
-        One backtracking search on an explicit stack.  The placed nodes
-        are their own images from the start; x is mapped first, to a
-        smaller free node of its degree, and then each other free node in
-        position order to a free node of its degree.  Node a may go to an
-        unused b iff b's neighbours among the used images are exactly the
-        images of a's mapped neighbours: one mask compare,
-        nbr[b] & used == want.
-        """
-        key = (placed, x)
-        cut = self.memo.get(key)
-        if cut is not None:
-            return cut
-        nbr, of_degree = self.g.masks, self.of_degree
-        n = len(nbr)
+    @functools.cache
+    def cuts(x: int, placed: int) -> bool:
         order = [x, *_bits((1 << n) - 1 & ~placed & ~(1 << x))]
         image = list(range(n))  # a placed node is its own image
         done = used = placed  # masks of the mapped nodes and of their images
@@ -162,7 +146,7 @@ class _Symmetry:
             return iter([b for b in _bits(free & ~used) if nbr[b] & used == want])
 
         stack: list[Iterator[int]] = []
-        candidates = options(x, self.twins[x])
+        candidates = options(x, twins[x])
         while True:
             b = next(candidates, None)
             if b is None:
@@ -184,8 +168,9 @@ class _Symmetry:
             a = order[len(stack)]
             candidates = options(a, of_degree[nbr[a].bit_count()])
         # the stack is full after a whole map is found and empty after none is
-        cut = self.memo[key] = bool(stack)
-        return cut
+        return bool(stack)
+
+    return twins, cuts
 
 
 def is_k_representable(
@@ -236,8 +221,7 @@ def is_k_representable(
     open = [full & ~nbr[x] & ~(1 << x) for x in range(n)]
     codes, member = triples.build(nbr)
     live = triples.memo(k)
-    sym = _Symmetry(g)
-    twins, cuts = sym.twins, sym.cuts
+    twins, cuts = _lex_leader(g)
 
     counts = [0] * n
     since = [0] * n

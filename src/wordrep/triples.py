@@ -14,6 +14,8 @@ k <= 3.
 """
 from __future__ import annotations
 
+import functools
+
 
 # A triple's roles 0, 1, 2 are its nodes in position order, and a pair of
 # roles r, s is the bit 1 << (r + s - 1): {0, 1} is 1, {0, 2} is 2 and
@@ -152,12 +154,4 @@ class _Live(dict):
 
 # k -> the triple cut's memo.  It holds facts about the edges of three
 # nodes only, never about a graph, so every query in the process shares it.
-_MEMOS: dict[int, _Live] = {}
-
-
-def memo(k: int) -> _Live:
-    """The memo for k, shared by all queries."""
-    live = _MEMOS.get(k)
-    if live is None:
-        live = _MEMOS[k] = _Live(k)
-    return live
+memo = functools.cache(_Live)

@@ -66,7 +66,8 @@ class Word:
     (``+``, ``restrict``, the constructions' concatenations) are not
     validated again.  Every word counts its letters only when ``counts`` is
     first read.  ``letters`` and ``counts`` are read-only; ``counts`` lists
-    the symbols in first-occurrence order.
+    the symbols in first-occurrence order.  Indexing gives a token and a
+    slice a tuple of tokens: ``Word("a b c")[1:]`` is ``("b", "c")``.
     """
 
     __slots__ = ("_letters", "_counts")

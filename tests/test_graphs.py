@@ -121,6 +121,7 @@ def test_cube_generator():
     assert relabel(cube(2), {"00": "1", "01": "2", "11": "3", "10": "4"}) == cycle(4)
     g3 = cube(3)
     assert len(g3.nodes) == 8 and len(g3.edges) == 12
+    assert repr(g3) == "Graph(8 nodes, 12 edges)"
     assert all(m.bit_count() == 3 for m in g3.masks)
     assert g3.adjacent("000", "010") and not g3.adjacent("000", "011")
     with pytest.raises(ValueError):

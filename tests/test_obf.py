@@ -115,6 +115,7 @@ def test_image_reads_the_rows_within_the_bound():
     assert h.images["b"][1] == ("b", "b")
     assert h.images == {"a": (("a",), ("a", "a")), "b": (("b",), ("b", "b"))}
     assert set(h.images) == {"a", "b"}
+    assert repr(h) == "OccurrenceBasedFunction(domain=['a', 'b'], bound=2)"
 
 
 def paper_copy_functions(alphabet, k, n, name):

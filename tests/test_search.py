@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import time
@@ -25,7 +26,7 @@ from wordrep import (
 )
 from wordrep import graphs, search, triples, words
 from wordrep.graphs import _graph_json
-from wordrep.search import _Symmetry
+from wordrep.search import _lex_leader
 from wordrep.triples import _Live
 
 
@@ -122,13 +123,31 @@ def test_budget_signal():
     assert o.result == "resource-limit" and o.k == 2
 
 
+def spy_on_cuts(monkeypatch):
+    """Wrap the cuts closure that each query's _lex_leader returns; the
+    list returned gets one (x, answer) per question the search asks it."""
+    asked = []
+    lex_leader = search._lex_leader
+
+    def spied(g):
+        twins, cuts = lex_leader(g)
+
+        def spy(x, placed):
+            answer = cuts(x, placed)
+            asked.append((x, answer))
+            return answer
+
+        return twins, spy
+
+    monkeypatch.setattr(search, "_lex_leader", spied)
+    return asked
+
+
 def test_deep_query_runs_past_the_recursion_limit(monkeypatch):
     # 1,400 word positions, deeper than Python's default recursion limit
     # of 1,000 frames
     g = complete(700)
-    calls = []
-    cuts = _Symmetry.cuts
-    monkeypatch.setattr(_Symmetry, "cuts", lambda self, x, placed: calls.append(x) or cuts(self, x, placed))
+    calls = spy_on_cuts(monkeypatch)
     o = is_k_representable(g, 2, budget=2000)
     assert o.found and uniformity(o.word) == 2 and represents(o.word, g)
     # each first copy placed is the smallest free node, so the symmetry cut
@@ -138,7 +157,7 @@ def test_deep_query_runs_past_the_recursion_limit(monkeypatch):
 
 def test_symmetry_agrees_with_a_permutation_oracle():
     # the lex-leader cut against the permutations that preserve adjacency:
-    # asked on a fresh object, it holds for a free x iff one of them fixes
+    # asked on a fresh closure, it holds for a free x iff one of them fixes
     # the placed set and sends x to a smaller free node.  It is asked for
     # every fixed set of every labelled graph of at most 5 nodes, and for
     # random fixed sets of seeded 6- and 7-node graphs under a random
@@ -151,13 +170,13 @@ def test_symmetry_agrees_with_a_permutation_oracle():
         nbr = [{j for j in range(size) if m >> j & 1} for m in g.masks]
         auts = {p for p in permutations(range(size))
                 if all({p[j] for j in nbr[a]} == nbr[p[a]] for a in range(size))}
-        cut = _Symmetry(g)
+        _, cuts = _lex_leader(g)
         for fixed in fixed_sets:
             stay = [a for a in range(size) if fixed >> a & 1]
             for x in range(size):
                 if x not in stay:
                     expected = any(p[x] < x and all(p[a] == a for a in stay) for p in auts)
-                    assert cut.cuts(x, fixed) == expected, (sorted(g.edges), stay, x)
+                    assert cuts(x, fixed) == expected, (sorted(g.edges), stay, x)
 
     for size in range(1, 6):
         for g in all_graphs(size):
@@ -240,7 +259,7 @@ def test_pinned_k2_exhaustion_counts(monkeypatch, make, explored, lookups):
     # count depends on the machine, so a change to the pruning rules or to
     # the check's order has to update them on purpose
     live = _CountingLive(2)
-    monkeypatch.setitem(triples._MEMOS, 2, live)
+    monkeypatch.setattr(triples, "memo", lambda k: live)
     o = is_k_representable(make(), 2)
     assert (o.result, o.explored, live.lookups) == ("exhausted", explored, lookups)
 
@@ -269,13 +288,12 @@ def test_clique_joined_to_a_five_cycle_exhausts_at_once(monkeypatch):
     hub = [f"h{i}" for i in range(7)]
     g = Graph(rim + hub, [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
               + [(h, r) for h in hub for r in rim] + list(combinations(hub, 2)))
-    cut = []
-    cuts = _Symmetry.cuts
-    monkeypatch.setattr(_Symmetry, "cuts", lambda self, x, placed: cuts(self, x, placed) and not cut.append(x))
+    asked = spy_on_cuts(monkeypatch)
     started = time.perf_counter()
     o = is_k_representable(g, 2)
     assert (o.result, o.explored) == ("exhausted", 427)
     assert time.perf_counter() - started < 1
+    cut = [x for x, answer in asked if answer]
     assert len(cut) > 100
 
 
@@ -423,7 +441,7 @@ def test_high_k_queries_answer_at_once(monkeypatch):
     # with an empty memo, every labelled 3-node graph at k = 1..8 gives the
     # reference search's result and witness, and W5 exhausts k = 4 (27,654
     # explored before the triple cut), each in under 1 s
-    monkeypatch.setattr(triples, "_MEMOS", {})
+    monkeypatch.setattr(triples, "memo", functools.cache(_Live))
     for g in all_graphs(3):
         for k in range(1, 9):
             started = time.perf_counter()

@@ -10,6 +10,8 @@ SEED_WORD = Word("3 1 4 2 1 3 2 4")
 def test_word_from_string_equals_word_from_tokens():
     assert Word("3 1 4 2") == Word(["3", "1", "4", "2"])
     assert str(Word(["a", "b"])) == "a b"
+    # indexing gives a token, and a slice a tuple of tokens
+    assert Word("a b c")[1] == "b" and Word("a b c")[1:] == ("b", "c")
 
 
 def test_word_counts_and_alphabet():
@@ -32,6 +34,9 @@ def test_word_concatenation_and_equality():
     assert Word("1 2") + Word("1 2") == Word("1 2 1 2")
     assert Word() + Word("x") == Word("x")
     assert hash(Word("a b")) == hash(Word("a b"))
+    # only a word concatenates with a word: a string is not read as one
+    with pytest.raises(TypeError):
+        Word("a") + "b"
 
 
 def test_symbol_validation():
