@@ -198,6 +198,11 @@ def test_construct_product_k2_from_stdin(capsys, monkeypatch):
     )
     assert code == 0
     assert out.strip() == "1@1 2@1 1@2 1@1 2@2 2@1 1@2 2@2 1@1 1@2 2@1 2@2"
+    # names that continue each other past '@' interleave their copies in name
+    # order (x@1, x@1@1, x@1@2, x@2), so the product graph is relabelled into
+    # name order before the word is verified against it
+    for argv in (["product-k2"], ["product-kn", "-n", "2"]):
+        assert run(capsys, ["construct", *argv, "--verify"], stdin="x x@1 x x@1", monkeypatch=monkeypatch)[0] == 0
 
 
 def test_construct_product_rejects_1_uniform_input(capsys, monkeypatch):
@@ -396,10 +401,20 @@ def test_files_read_alike_under_every_line_end(capsys, monkeypatch, tmp_path, en
 
 
 def test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it(capsys, tmp_path):
+    # json's wording differs between Python versions, so the expected line is
+    # what the running json says of the text with LF ends; it places the
+    # fault elsewhere in the raw CRLF text
+    crlf, lf = '{"nodes": ["a"],\r\n "edges": [["a", "b"]\r ,]}', '{"nodes": ["a"],\n "edges": [["a", "b"]\n ,]}'
+    messages = []
+    for text in (crlf, lf):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
     (tmp_path / "w").write_text("a b a b\n")
-    (tmp_path / "g.json").write_bytes(b'{"nodes": ["a"],\r\n "edges": [["a", "b"]\r ,]}')
+    (tmp_path / "g.json").write_bytes(crlf.encode())
     code, out, err = run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / "g.json")])
-    assert (code, out, err) == (2, "", "error: bad graph JSON: Expecting value: line 3 column 3 (char 41)\n")
+    assert (code, out, err) == (2, "", f"error: bad graph JSON: {messages[1]}\n")
 
 
 @pytest.mark.parametrize("bad", ["w", "g"])

@@ -592,7 +592,7 @@ def test_parse_graph_autodetects_format():
 
 
 @pytest.mark.parametrize("name", ["g.edges", "g.json", "g.txt", "g"])
-def test_load_graph_reads_either_format_under_any_name(tmp_path, name):
+def test_parse_graph_and_check_pick_the_format_by_content_under_any_name(tmp_path, name):
     # a graph file is read by the CLI's one reader and parsed by its content, whatever its name
     g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
     path, word = tmp_path / name, tmp_path / "w"
