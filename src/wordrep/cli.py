@@ -141,12 +141,8 @@ def cmd_repnum(args: argparse.Namespace) -> int:
         print(f"witness: {outcome.word}")
         return 0
     if outcome.result == "resource-limit":
-        print(
-            f"error: query needs {len(g.names) * outcome.k} word positions, above the budget "
-            f"of {args.budget}; raise the budget explicitly to run it",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"query needs {len(g.names) * outcome.k} word positions, above the budget "
+                         f"of {args.budget}; raise the budget explicitly to run it")
     print(f"representation number: unknown above k = {args.max_k}")
     return 1
 
@@ -253,10 +249,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if [getattr(args, name, None) for name in ("word", "graph", "left", "right")].count("-") > 1:
-        print("error: stdin ('-') can be read only once per command", file=sys.stderr)
-        return 2
     try:
+        if [getattr(args, name, None) for name in ("word", "graph", "left", "right")].count("-") > 1:
+            raise ValueError("stdin ('-') can be read only once per command")
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

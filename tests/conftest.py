@@ -1,10 +1,11 @@
 """Shared test plumbing: caps each test's run time, collects
 acceptance-criterion verdicts to print one line per criterion in the
 terminal summary, counts validated tokens, and holds the tests' one
-pairwise alternation oracle, their reference search, a random uniform
-word and a graph relabelling."""
+pairwise alternation oracle, their reference search, every labelled graph
+on n nodes, a random uniform word and a graph relabelling."""
 import signal
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -74,6 +75,15 @@ def restriction_alternates(letters, x, y):
     return all(a != b for a, b in zip(kept, kept[1:]))
 
 
+def all_graphs(size):
+    """Every labelled graph on the nodes "1".."size", in the order of its
+    edge mask over the pairs in name order."""
+    names = [str(i) for i in range(1, size + 1)]
+    pairs = list(combinations(names, 2))
+    for mask in range(2 ** len(pairs)):
+        yield Graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
 def random_uniform_word(rng, size, k):
     """A random k-uniform word over the nodes "1".."size"."""
     letters = [str(i) for i in range(1, size + 1)] * k
@@ -90,10 +100,6 @@ def reference_search(g, k):
     names = sorted(g.nodes)
     word, counts, explored = [], dict.fromkeys(names, 0), 0
 
-    def repeats(x, u):
-        r = [c for c in word if c in (x, u)]
-        return any(a == b for a, b in zip(r, r[1:]))
-
     def descend():
         nonlocal explored
         if len(word) == len(names) * k:
@@ -103,9 +109,9 @@ def reference_search(g, k):
                 continue
             word.append(x)
             counts[x] += 1
-            if not any(repeats(x, u) for u in names if g.adjacent(x, u)):
+            if all(restriction_alternates(word, x, u) for u in names if g.adjacent(x, u)):
                 explored += 1
-                if all(counts[u] < k or repeats(x, u) for u in names
+                if all(counts[u] < k or not restriction_alternates(word, x, u) for u in names
                        if counts[x] == k and u != x and not g.adjacent(x, u)) and descend():
                     return True
             word.pop()

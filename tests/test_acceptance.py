@@ -8,10 +8,9 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_uniform_word, record_criterion, reference_search, restriction_alternates
+from conftest import all_graphs, random_uniform_word, record_criterion, reference_search, restriction_alternates
 from wordrep import (
     ChainConditionError,
-    Graph,
     cartesian_product,
     complete,
     complete_word,
@@ -67,29 +66,38 @@ def test_cube_words_up_to_8_then_10():
     assert elapsed_10 < 60, f"k = 10 took {elapsed_10:.1f}s"
 
 
-@criterion(2, "two-copy product words represent the product graph name-exactly (500 random words)")
+@criterion(2, "two-copy product words are (k+1)-uniform and represent the product graph name-exactly "
+              "(500 random words)")
 def test_product_k2_oracle_equivalence():
     started = time.perf_counter()
     for w, _ in product_batch(seed=1002, count=500):
         expected = cartesian_product(graph_of_word(w), complete(2))
-        assert graph_of_word(product_k2_word(w)) == expected, f"mismatch for {w}"
+        out = product_k2_word(w)
+        assert graph_of_word(out) == expected, f"mismatch for {w}"
+        assert uniformity(out) == uniformity(w) + 1, f"uniformity of {out}"
     elapsed = time.perf_counter() - started
     assert elapsed < 5, f"took {elapsed:.1f}s"
 
 
-@criterion(3, "n-copy product words represent the product graph, n = 2 matching the two-copy graph (500 random words)")
+@criterion(3, "n-copy product words are (k+n-1)-uniform and represent the product graph; at n = 2 "
+              "they match the two-copy word's graph but not its letter order (500 random words)")
 def test_product_kn_oracle_equivalence():
     started = time.perf_counter()
     for w, n in product_batch(seed=1003, count=500):
         expected = cartesian_product(graph_of_word(w), complete(n))
-        assert graph_of_word(product_kn_word(w, n)) == expected, f"mismatch for {w}, n={n}"
-        two = graph_of_word(product_kn_word(w, 2))
-        assert two == graph_of_word(product_k2_word(w)), f"n=2 mismatch for {w}"
+        out = product_kn_word(w, n)
+        assert graph_of_word(out) == expected, f"mismatch for {w}, n={n}"
+        assert uniformity(out) == uniformity(w) + n - 1, f"uniformity of {out}"
+        two, k2 = product_kn_word(w, 2), product_k2_word(w)
+        assert graph_of_word(two) == graph_of_word(k2), f"n=2 mismatch for {w}"
+        # the factor order differs, so the two agree at the graph level only
+        assert two != k2, f"n=2 word equals the two-copy word for {w}"
     elapsed = time.perf_counter() - started
     assert elapsed < 20, f"took {elapsed:.1f}s"
 
 
-@criterion(4, "projection concatenation preserves the graph when chained (500 cases) and rejects uncovered pairs (100 cases)")
+@criterion(4, "projection concatenation preserves the graph and sums the index-set sizes when chained (500 cases) "
+              "and rejects uncovered pairs (100 cases)")
 def test_lemma1_preservation_and_rejection():
     started = time.perf_counter()
     rng = random.Random(1004)
@@ -103,7 +111,9 @@ def test_lemma1_preservation_and_rejection():
         for j in range(1, k):
             if not any(j in a and j + 1 in a for a in sets):
                 rng.choice(sets).update((j, j + 1))
-        assert graph_of_word(lemma1_concat(w, sets)) == graph_of_word(w)
+        out = lemma1_concat(w, sets)
+        assert graph_of_word(out) == graph_of_word(w)
+        assert uniformity(out) == sum(len(a) for a in sets)
     rejected = 0
     while rejected < 100:
         k = rng.randint(2, 4)
@@ -126,13 +136,15 @@ def test_lemma1_preservation_and_rejection():
     assert elapsed < 5, f"took {elapsed:.1f}s"
 
 
-@criterion(5, "representation numbers of K_n x K_2 are 1, 2, 3 for n = 1, 2, 3; a 3-uniform word exists for n = 4")
+@criterion(5, "representation numbers of K_n x K_2 are 1, 2, 3 for n = 1, 2, 3, each witness verifying; "
+              "a 3-uniform word exists for n = 4")
 def test_complete_product_representation_numbers():
     started = time.perf_counter()
     for n, expected in ((1, 1), (2, 2), (3, 3)):
         g = cartesian_product(complete(n), complete(2))
         *_, o = representation_number(g, 3)
         assert o.found and o.k == expected, f"n={n}"
+        assert uniformity(o.word) == expected and represents(o.word, g), f"n={n}: {o.word}"
     # the n = 3 case above includes exhausting k = 2 on the 3-prism
     prism = cartesian_product(complete(3), complete(2))
     assert is_k_representable(prism, 2).result == "exhausted"
@@ -163,10 +175,7 @@ def test_diagonal_alternation_identity():
 def test_search_reduction_equivalence():
     started = time.perf_counter()
     for size in range(1, 6):
-        names = [str(i) for i in range(1, size + 1)]
-        pairs = list(combinations(names, 2))
-        for mask in range(2 ** len(pairs)):
-            g = Graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for g in all_graphs(size):
             for k in (1, 2):
                 ref_word, ref_explored = reference_search(g, k)
                 o = is_k_representable(g, k)

@@ -1,11 +1,10 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
-from conftest import random_uniform_word, relabel, restriction_alternates
+from conftest import relabel
 from wordrep import constructions, graphs, obf, words
 from wordrep.cli import _build_parser
 from wordrep import (
@@ -51,50 +50,11 @@ def test_product_k2_word_rejects_low_uniformity():
         product_k2_word(Word("1 1 2"))
 
 
-def test_product_k2_word_length_arithmetic():
-    # each node contributes 2k-1 letters through the first function and 3
-    # through the second, i.e. 2k+2 in total
-    rng = random.Random(101)
-    for _ in range(20):
-        k = rng.randint(2, 5)
-        w = random_uniform_word(rng, rng.randint(2, 5), k)
-        out = product_k2_word(w)
-        assert len(out) == len(w.alphabet) * (2 * k + 2)
-        assert uniformity(out) == k + 1
-
-
-def test_product_k2_word_matches_product_graph_randomized():
-    rng = random.Random(7)
-    for _ in range(150):
-        w = random_uniform_word(rng, rng.randint(2, 5), rng.randint(2, 4))
-        expected = cartesian_product(graph_of_word(w), complete(2))
-        assert graph_of_word(product_k2_word(w)) == expected
-
-
 def test_product_kn_word_validation():
     with pytest.raises(ValueError, match="n >= 2"):
         product_kn_word(Word("1 2 1 2"), 1)
     with pytest.raises(ValueError, match="k > 1"):
         product_kn_word(Word("1 2"), 3)
-
-
-def test_product_kn_word_agrees_with_k2_at_graph_level():
-    rng = random.Random(19)
-    for _ in range(60):
-        w = random_uniform_word(rng, rng.randint(2, 5), rng.randint(2, 4))
-        two = product_kn_word(w, 2)
-        assert graph_of_word(two) == graph_of_word(product_k2_word(w))
-        # the factor order differs, so equality holds at the graph level only
-        assert two != product_k2_word(w)
-
-
-def test_product_kn_word_matches_product_graph_randomized():
-    rng = random.Random(43)
-    for _ in range(100):
-        w = random_uniform_word(rng, rng.randint(2, 5), rng.randint(2, 4))
-        n = rng.randint(2, 4)
-        expected = cartesian_product(graph_of_word(w), complete(n))
-        assert graph_of_word(product_kn_word(w, n)) == expected
 
 
 def test_product_kn_word_k2_n3_is_three_prism():
@@ -105,32 +65,6 @@ def test_product_kn_word_k2_n3_is_three_prism():
     # the factors swapped: a@b -> b@a
     swapped = {f"{a}@{b}": f"{b}@{a}" for a in "12" for b in "123"}
     assert relabel(expected, swapped) == cartesian_product(cycle(3), complete(2))
-
-
-def test_product_kn_word_per_node_counts():
-    # x@1 occurs k+(n-1) times; x@j for j >= 2 occurs (k-1)+2+(n-2) times
-    rng = random.Random(71)
-    for _ in range(20):
-        k, n = rng.randint(2, 4), rng.randint(2, 4)
-        w = random_uniform_word(rng, rng.randint(2, 4), k)
-        out = product_kn_word(w, n)
-        assert uniformity(out) == k + n - 1
-        for x in w.alphabet:
-            for j in range(1, n + 1):
-                assert out.counts[f"{x}@{j}"] == k + n - 1
-
-
-def test_diagonal_pairs_alternate_fully():
-    rng = random.Random(83)
-    for _ in range(40):
-        k, n = rng.randint(2, 4), rng.randint(2, 4)
-        w = random_uniform_word(rng, rng.randint(2, 4), k)
-        out = product_kn_word(w, n)
-        for x in w.alphabet:
-            for i, j in combinations(range(1, n + 1), 2):
-                a, b = f"{x}@{i}", f"{x}@{j}"
-                assert restriction_alternates(out, a, b)
-                assert len(restrict(out, {a, b})) == 2 * uniformity(out)
 
 
 def test_cube_word_base_cases():
@@ -151,15 +85,6 @@ def test_cube_word_dimension_is_bounded_like_the_cli():
                 build(k)
     args = _build_parser().parse_args(["construct", "cube", "-k", "20"])
     assert args.k == 20
-
-
-def test_cube_word_represents_cube():
-    for k in range(1, 7):
-        w = cube_word(k)
-        assert uniformity(w) == k
-        assert len(w.alphabet) == 2 ** k
-        assert len(w) == k * 2 ** k
-        assert represents(w, cube(k))
 
 
 def test_complete_word():

@@ -436,13 +436,6 @@ def test_represents_rejects_mismatched_symbols_without_raising():
         assert represents(w, g) is False, (w, g)
 
 
-def test_represents_graph_of_word_round_trip():
-    rng = random.Random(61)
-    for _ in range(100):
-        w = Word(rng.choices(["a", "b", "c", "d"], k=rng.randint(1, 12)))
-        assert represents(w, graph_of_word(w))
-
-
 def oracle_graph(w):
     names = sorted(set(w.letters))
     pairs = [(x, y) for x, y in combinations(names, 2) if restriction_alternates(w.letters, x, y)]
@@ -499,13 +492,12 @@ def test_represents_agrees_with_pairwise_alternates_oracle():
             letters = [f"u{i}" for i in range(size)] * k
             rng.shuffle(letters)
             w = Word(letters)
-        names = sorted(w.alphabet)
-        pairs = list(combinations(names, 2))
-        edges = {(x, y) for x, y in pairs if restriction_alternates(w, x, y)}
-        assert graph_of_word(w) == Graph(names, edges), w
+        expected = oracle_graph(w)
+        assert graph_of_word(w) == expected, w
+        pairs = list(combinations(sorted(w.alphabet), 2))
         flips = set(rng.sample(pairs, min(len(pairs), rng.randint(0, 3))))
         toggles.add(len(flips))
-        g = Graph(names, edges ^ flips)
+        g = Graph(expected.nodes, set(expected.edges) ^ flips)
         oracle = all(restriction_alternates(w, x, y) == g.adjacent(x, y) for x, y in pairs)
         assert oracle == (not flips)
         assert represents(w, g) == oracle, (w, sorted(flips))
@@ -521,13 +513,6 @@ def test_cube_12_verifies_in_linear_time():
     assert represents(w, g)
     assert graph_of_word(w) == g
     assert time.perf_counter() - started < 20.0
-
-
-def test_edges_text_round_trip():
-    g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
-    text = graph_to_edges_text(g)
-    assert graph_from_edges_text(text) == g
-    assert "lonely" in text.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -557,11 +542,6 @@ def test_edges_text_parsing():
     assert g == Graph(["1", "2", "3", "4", "lone", "5"], [("1", "2"), ("2", "3"), ("3", "4")])
     with pytest.raises(ValueError, match="line 2"):
         graph_from_edges_text("1 2\n1 2 3\n")
-
-
-def test_json_round_trip():
-    g = cartesian_product(complete(2), complete(2))
-    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_json_parsing_errors():

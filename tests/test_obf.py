@@ -281,23 +281,6 @@ def test_lemma1_concat_input_validation():
         lemma1_concat(Word("1 2 1 2"), [{1, 2}, {0, 1}])
 
 
-def test_lemma1_concat_preserves_graph_randomized():
-    rng = random.Random(41)
-    for _ in range(150):
-        k = rng.randint(2, 4)
-        w = random_uniform_word(rng, rng.randint(2, 5), k)
-        sets = [
-            set(rng.sample(range(1, k + 1), rng.randint(1, k)))
-            for _ in range(rng.randint(2, 4))
-        ]
-        for j in range(1, k):
-            if not any(j in a and j + 1 in a for a in sets):
-                rng.choice(sets).update((j, j + 1))
-        out = lemma1_concat(w, sets)
-        assert uniformity(out) == sum(len(a) for a in sets)
-        assert graph_of_word(out) == graph_of_word(w)
-
-
 def test_extend_uniform_examples():
     assert extend_uniform(Word("1 2 1 2"), 1) == Word("1 2 1 2 1 2")
     assert extend_uniform(Word("1 2"), 1) == Word("1 2 1 2")
