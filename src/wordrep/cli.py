@@ -38,11 +38,12 @@ from .words import Word, parse_words, restrict
 
 def _read_text(path: str) -> str:
     """The text of file ``path``, or of stdin for '-'.  A file is decoded from UTF-8 in one piece, and
-    its CRLF and lone CR line ends read as LF, as stdin's do in text mode."""
+    its CRLF and lone CR line ends read as LF, as stdin's do in text mode.  A leading byte-order mark
+    reads as nothing."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.read().removeprefix("\ufeff")
     with open(path, "rb") as fh:
-        text = fh.read().decode()
+        text = fh.read().decode().removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

@@ -11,6 +11,11 @@ name it derives is validated, and no construction verifies its output.
 """
 from __future__ import annotations
 
+__all__ = [
+    "complete_word", "cube_word", "cycle_word", "prism_word", "product_k2_word", "product_kn_functions",
+    "product_kn_word",
+]
+
 from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import repeat

@@ -8,6 +8,11 @@ edges.  Product nodes are named "g@h" with '@' reserved for that purpose.
 """
 from __future__ import annotations
 
+__all__ = [
+    "Graph", "NamingConflictError", "cartesian_product", "complete", "cube", "cycle", "graph_from_edges_text",
+    "graph_from_json", "graph_of_word", "graph_to_edges_text", "graph_to_json", "parse_graph", "represents",
+]
+
 from itertools import accumulate, chain, compress, count
 from operator import or_
 from collections.abc import Iterable, Iterator

@@ -14,6 +14,10 @@ words, is not validated again and is counted only when ``counts`` is read.
 """
 from __future__ import annotations
 
+__all__ = [
+    "ChainConditionError", "OccurrenceBasedFunction", "apply", "extend_uniform", "lemma1_concat", "projection",
+]
+
 from collections.abc import Iterable, Mapping, Sequence, Set
 from itertools import chain
 

@@ -61,6 +61,8 @@ after x.
 """
 from __future__ import annotations
 
+__all__ = ["DEFAULT_BUDGET", "SearchOutcome", "is_k_representable", "outcome_to_json", "representation_number"]
+
 import functools
 import time
 from collections import namedtuple

@@ -9,6 +9,8 @@ one sweep.
 """
 from __future__ import annotations
 
+__all__ = ["Word", "check_symbol", "parse_words", "restrict", "uniformity"]
+
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence, Set

@@ -371,25 +371,27 @@ def test_check_picks_the_graph_format_by_content_not_name(capsys, monkeypatch, t
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_files_read_alike_under_every_line_end(capsys, monkeypatch, tmp_path, end):
     # files are decoded as UTF-8, and CRLF and lone CR line ends read as LF, as in text mode;
-    # a graph on stdin, which is read in text mode, loads as its file does
+    # a leading byte-order mark reads as nothing; a graph on stdin, which is read in text
+    # mode, loads as its file does
     g = cartesian_product(cycle(3), complete(2))
     word = run(capsys, ["construct", "prism", "-n", "3"])[1]
     files = {"w": "# the 3-prism\n\n" + word, "g.edges": "# the 3-prism\n" + graph_to_edges_text(g),
              "g.json": graphs.graph_to_json(g)}
-    for name, text in files.items():
-        (tmp_path / name).write_bytes(text.replace("\n", end).encode())
-    assert _read_text(str(tmp_path / "w")) == files["w"]
-    for name in ("g.edges", "g.json"):
-        path = str(tmp_path / name)
-        assert parse_graph(_read_text(path)) == g
-        assert run(capsys, ["check", str(tmp_path / "w"), path]) == (0, "", "")
-        found = run(capsys, ["repnum", path, "--max-k", "3"])
-        assert found[0] == 0 and "representation number: 3\n" in found[1]
-        for argv, expected in ((["check", str(tmp_path / "w"), "-"], (0, "", "")),
-                               (["repnum", "-", "--max-k", "3"], found)):
-            stdin = io.TextIOWrapper(io.BytesIO((tmp_path / name).read_bytes()), encoding="utf-8")
-            monkeypatch.setattr("sys.stdin", stdin)
-            assert run(capsys, argv) == expected
+    for bom in ("", "\ufeff"):
+        for name, text in files.items():
+            (tmp_path / name).write_bytes((bom + text).replace("\n", end).encode())
+        assert _read_text(str(tmp_path / "w")) == files["w"]
+        for name in ("g.edges", "g.json"):
+            path = str(tmp_path / name)
+            assert parse_graph(_read_text(path)) == g
+            assert run(capsys, ["check", str(tmp_path / "w"), path]) == (0, "", "")
+            found = run(capsys, ["repnum", path, "--max-k", "3"])
+            assert found[0] == 0 and "representation number: 3\n" in found[1]
+            for argv, expected in ((["check", str(tmp_path / "w"), "-"], (0, "", "")),
+                                   (["repnum", "-", "--max-k", "3"], found)):
+                stdin = io.TextIOWrapper(io.BytesIO((tmp_path / name).read_bytes()), encoding="utf-8")
+                monkeypatch.setattr("sys.stdin", stdin)
+                assert run(capsys, argv) == expected
 
 
 def test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it(capsys, tmp_path):
@@ -683,10 +685,12 @@ def test_readme_quick_tour_runs_as_written():
 
 
 def test_public_surface_is_pinned():
-    # the API shrinks or grows only together with this list and README
+    # the API shrinks or grows only together with this list and README; each module
+    # declares its own public names in its __all__, and the package joins them in module order
     import wordrep
-    from wordrep import obf, search, words
+    from wordrep import obf, words
 
+    modules = (words, obf, graphs, constructions, search)
     assert sorted(wordrep.__all__) == [
         "ChainConditionError", "DEFAULT_BUDGET", "Graph",
         "NamingConflictError", "OccurrenceBasedFunction", "SearchOutcome", "Word",
@@ -699,7 +703,10 @@ def test_public_surface_is_pinned():
         "projection", "representation_number", "represents", "restrict", "uniformity",
     ]
     assert all(hasattr(wordrep, name) for name in wordrep.__all__)
-    for module in (words, obf, graphs, constructions, search):
+    for module in modules:
         for name, obj in vars(module).items():
             if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == module.__name__:
-                assert name in wordrep.__all__, f"{module.__name__}.{name} is public but not exported"
+                assert name in module.__all__, f"{module.__name__}.{name} is public but not in its __all__"
+    declared = [name for module in modules for name in module.__all__]
+    assert len(set(declared)) == len(declared), "a name is in two modules' __all__"
+    assert wordrep.__all__ == declared

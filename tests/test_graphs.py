@@ -561,11 +561,11 @@ def test_json_parsing_errors():
 
 
 def test_parse_graph_autodetects_format():
-    g = cycle(4)
-    assert parse_graph(graph_to_json(g)) == g
-    assert parse_graph(graph_to_edges_text(g)) == g
-    assert parse_graph("\n  \n" + graph_to_json(g)) == g
-    assert parse_graph("# the 4-cycle\n" + graph_to_edges_text(g)) == g
+    for g in (cycle(4), complete(3)):
+        assert parse_graph(graph_to_json(g)) == g
+        assert parse_graph(graph_to_edges_text(g)) == g
+        assert parse_graph("\n  \n" + graph_to_json(g)) == g
+        assert parse_graph("# a graph\n" + graph_to_edges_text(g)) == g
     assert parse_graph("") == parse_graph(" \n\n") == Graph([])
     with pytest.raises(ValueError, match="must be an object"):
         parse_graph('[["1", "2"]]')

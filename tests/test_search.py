@@ -552,15 +552,6 @@ def test_outcome_json_is_the_full_payload_dumped_at_once():
     assert _graph_json(Graph([])) == '{"nodes": [], "edges": []}'
 
 
-def test_outcome_and_graph_json_share_one_payload():
-    # an outcome carries the same graph object that graph_to_json writes,
-    # for each graph in turn
-    for g in (cycle(4), complete(3), cycle(4), complete(3)):
-        graph_json = graph_to_json(g)
-        assert json.loads(outcome_to_json(is_k_representable(g, 1)))["graph"] == json.loads(graph_json)
-        assert graph_from_json(graph_json) == g
-
-
 def test_search_validates_no_tokens(validated_tokens):
     # the graph's names were validated when it was built; a leaf's
     # candidate word is built from them unchecked, and represents still
