@@ -37,13 +37,15 @@ from .words import Word, parse_words, restrict
 
 
 def _read_text(path: str) -> str:
-    """The text of file ``path``, or of stdin for '-'.  A file is decoded from UTF-8 in one piece, and
-    its CRLF and lone CR line ends read as LF, as stdin's do in text mode.  A leading byte-order mark
-    reads as nothing."""
+    """The text of file ``path``, or of stdin for '-'.  Either one's bytes are decoded from UTF-8 in
+    one piece, whatever the locale, so an invalid byte is the same error from both; a leading
+    byte-order mark reads as nothing, and CRLF and lone CR line ends read as LF."""
     if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, "rb") as fh:
-        text = fh.read().decode().removeprefix("\ufeff")
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    text = data.decode().removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 

@@ -2,7 +2,8 @@
 acceptance-criterion verdicts to print one line per criterion in the
 terminal summary, counts validated tokens, and holds the tests' one
 pairwise alternation oracle, their reference search, every labelled graph
-on n nodes, a random uniform word and a graph relabelling."""
+on n nodes, a seeded random graph, a random uniform word and a graph
+relabelling."""
 import signal
 import sys
 from itertools import combinations
@@ -82,6 +83,12 @@ def all_graphs(size):
     pairs = list(combinations(names, 2))
     for mask in range(2 ** len(pairs)):
         yield Graph(names, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def random_graph(rng, names, p):
+    """A graph on ``names`` in which each pair, taken in the order of
+    ``names``, is an edge with probability p, drawn from rng."""
+    return Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
 
 
 def random_uniform_word(rng, size, k):

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import restriction_alternates
-from wordrep import (Graph, Word, cartesian_product, complete, constructions, cube, cube_word, cycle,
-                     graph_from_edges_text, graph_of_word, graph_to_edges_text, graphs, outcome_to_json,
-                     parse_graph, representation_number, represents, search)
+from wordrep import (Graph, Word, cartesian_product, complete, constructions, cube, cube_word, cycle, graph_of_word,
+                     graph_to_edges_text, graphs, outcome_to_json, parse_graph, prism_word, representation_number,
+                     represents, search)
 from wordrep.cli import _build_parser, _explain_mismatch, _read_text, main
 
 
@@ -32,87 +32,259 @@ print("json" in sys.modules)
     assert out.splitlines() == ["", "True"]
 
 
-def run(capsys, argv, stdin=None, monkeypatch=None):
-    if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+def run(capsys, monkeypatch, argv, stdin=b""):
+    # stdin's text layer decodes latin-1, as under PYTHONIOENCODING=latin-1, so that a command
+    # reading stdin's text instead of its bytes answers otherwise on any non-ASCII input
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="latin-1"))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def test_gen_cube_edges(capsys):
-    code, out, _ = run(capsys, ["gen", "cube", "-k", "3"])
-    assert code == 0
-    assert graph_from_edges_text(out) == cube(3)
-    assert len([ln for ln in out.splitlines() if ln]) == 12
+# The contract table: each row runs one argv, its named inputs written to files of those names,
+# and pins the exit code, the exact stdout and the exact stderr.  An argparse usage message is
+# pinned by its "usage: " prefix and its last line, and stands in a row as USAGE + that line.
+USAGE = "usage: ...\n"
 
 
-def test_gen_json_format(capsys):
-    code, out, _ = run(capsys, ["gen", "complete", "-n", "3", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["nodes"] == ["1", "2", "3"]
-    assert len(payload["edges"]) == 3
+def pinned(err):
+    return USAGE + err.splitlines()[-1] + "\n" if err.startswith("usage: ") and "Traceback" not in err else err
 
 
-def test_gen_bad_parameter_exits_2(capsys):
-    code, _, err = run(capsys, ["gen", "cycle", "-n", "2"])
-    assert code == 2 and "n >= 3" in err
+def row(argv, inputs, code, out="", err=""):
+    return argv.split(), inputs, code, out, err
 
 
-def test_gen_usage_error_exits_2(capsys):
-    assert main(["gen", "hexagon", "-n", "6"]) == 2
-    capsys.readouterr()
+def usage(argv, line):
+    return row(argv, {"g": "1 2\n"} if " g " in argv else {}, 2, err=f"{USAGE}{line}\n")
 
 
-@pytest.mark.parametrize("argv", [["gen", "complete", "-n", "1001"], ["gen", "cycle", "-n", "100000000"],
-                                  ["gen", "prism", "-n", "1001"], ["construct", "prism", "-n", "100000000"],
-                                  ["construct", "complete", "-n", "1001", "-k", "2"]])
-def test_graph_size_above_1000_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == 2 and out == ""
-    assert err.startswith("usage: ") and "-n: must be at most 1000" in err and "Traceback" not in err
+def graph_payload(edges_text):
+    """The JSON object of the graph of an edge list with no isolated node: its nodes, and its
+    edges, each pair and the list in name order."""
+    edges = sorted(sorted(line.split()) for line in edges_text.splitlines() if line and not line.startswith("#"))
+    return {"nodes": sorted({v for e in edges for v in e}), "edges": edges}
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["construct", "complete", "-n", "2", "-k", "100000000"], "-k: must be at most 1000"),
-    (["construct", "complete", "-n", "2", "-k", "0"], "-k: must be at least 1"),
-    (["construct", "product-kn", "-n", "1000000"], "-n: must be at most 1000"),
-    (["construct", "product-kn", "-n", "1"], "-n: must be at least 2"),
-])
-def test_copies_per_node_outside_their_range_are_a_usage_error(capsys, monkeypatch, argv, message):
-    # a valid word on stdin, so that only the bound can fail
-    code, out, err = run(capsys, argv, stdin="a b a b", monkeypatch=monkeypatch)
-    assert code == 2 and out == ""
-    assert err.startswith("usage: ") and message in err and "Traceback" not in err
+def repnum_out(edges_text, *outcomes, found=None):
+    """repnum's stdout for the graph of an edge list: one outcome line per (k, result, word,
+    explored), then the summary of the witness ``found`` at the last k, if any."""
+    lines = [json.dumps({"graph": graph_payload(edges_text), "k": k, "result": result, "word": word,
+                         "explored": explored, "millis": 0}) for k, result, word, explored in outcomes]
+    if found:
+        lines += [f"representation number: {outcomes[-1][0]}", f"witness: {found}"]
+    return "".join(line + "\n" for line in lines)
 
 
-def test_selftest_is_a_usage_error(capsys):
-    # the randomized property checks live in the tests, not in the CLI
-    code, out, err = run(capsys, ["selftest"])
-    assert code == 2 and out == ""
-    assert err.startswith("usage: ") and "invalid choice" in err and "selftest" in err
+def ends(text, end, bom):
+    return (bom + text).replace("\n", end).encode()
 
 
-def test_graph_size_1000_is_accepted(capsys):
-    code, out, _ = run(capsys, ["construct", "prism", "-n", "1000", "--verify"])
-    assert code == 0 and len(out.split()) == 6000
-    code, out, _ = run(capsys, ["gen", "cycle", "-n", "1000"])
-    assert code == 0 and len(out.splitlines()) == 1000
+Q3_EDGES = ("000 001\n000 010\n000 100\n001 011\n001 101\n010 011\n010 110\n011 111\n"
+            "100 101\n100 110\n101 111\n110 111\n")
+Q3_WORD = "110 000 010 100 001 000 111 110 101 100 011 010 111 001 011 101 000 001 110 111 100 101 010 011\n"
+Q4_WORD = ("1100 0000 0100 1000 0010 0001 0000 1110 1101 1100 1010 1001 1000 0110 0101 0100 1111 1110 0011 0010 "
+           "0111 0110 1011 1010 0001 0000 0011 0010 1101 1100 1111 1110 1001 1000 1011 1010 0101 0100 0111 0110 "
+           "1101 0001 0101 1001 0011 0000 0001 1111 1100 1101 1011 1000 1001 0111 0100 0101 1110 1111 0010 0011 "
+           "0110 0111 1010 1011\n")
+PRISM3_EDGES = "1@1 1@2\n1@1 2@1\n1@1 3@1\n1@2 2@2\n1@2 3@2\n2@1 2@2\n2@1 3@1\n2@2 3@2\n3@1 3@2\n"  # K3 x K2
+PRISM3_WITNESS = "1@1 1@2 2@1 2@2 3@1 1@1 2@1 3@2 1@2 3@1 1@1 2@2 2@1 3@2 3@1 1@2 2@2 3@2"
+PRISM3_REPNUM = repnum_out(PRISM3_EDGES, (1, "exhausted", None, 0), (2, "exhausted", None, 25),
+                           (3, "witness", PRISM3_WITNESS, 18), found=PRISM3_WITNESS)
+PRISM3_FILES = {"w": "# the 3-prism\n\n1@1 3@1 2@1 1@2 1@1 3@2 3@1 2@2 2@1 1@2 3@2 2@2 1@1 1@2 3@1 3@2 2@1 2@2\n",
+                "edges": "# the 3-prism\n" + PRISM3_EDGES,
+                "json": json.dumps(graph_payload(PRISM3_EDGES), indent=2) + "\n"}
+PRISM4_EDGES = graph_to_edges_text(cartesian_product(cycle(4), complete(2)))
+C4_EDGES = "# the 4-cycle\n1 2\n2 3\n3 4\n1 4\n"
+C4_WORD = "3 1 4 2 1 3 2 4\n"
+K4_EDGES = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
+K3K2_EDGES = "a b\nb c\na c\nA B\nB C\nA C\na A\nb B\nc C\n"
+K3K2_WITNESS = "A B C a A b B c C a A b c a B b C c"
+K2XK3_WORD = "1@3 2@3 1@2 1@1 1@3 2@2 2@1 2@3 1@2 2@2 1@1 1@3 1@2 2@1 2@3 2@2 1@1 2@1 1@3 1@2 1@1 2@3 2@2 2@1\n"
+DEEP_JSON = '{"nodes": ' + "[" * 100_000 + "\n"
+BAD_CRLF_JSON = '{"nodes": ["a"],\r\n "edges": [["a", "b"]\r ,]}'
 
 
-def test_gen_product(capsys, tmp_path):
-    a = tmp_path / "a.edges"
-    b = tmp_path / "b.edges"
-    code, out, _ = run(capsys, ["gen", "complete", "-n", "3"])
-    a.write_text(out)
-    code, out, _ = run(capsys, ["gen", "complete", "-n", "2"])
-    b.write_text(out)
-    code, out, _ = run(capsys, ["gen", "product", str(a), str(b)])
-    assert code == 0
-    g = graph_from_edges_text(out)
-    assert len(g.nodes) == 6 and len(g.edges) == 9
-    assert "1@1" in g.nodes
+def json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+# json's wording differs between Python versions, so a row pins what the running json says of
+# the text with LF ends, which places the fault elsewhere than in the raw CRLF text
+BAD_JSON_LINE = json_error(BAD_CRLF_JSON.replace("\r\n", "\n").replace("\r", "\n"))
+assert BAD_JSON_LINE != json_error(BAD_CRLF_JSON)
+UTF8_ERROR = "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"
+STDIN_TWICE = "error: stdin ('-') can be read only once per command\n"
+TOO_DEEP = "error: bad graph JSON: nested too deeply\n"
+
+# Each name in the table is a test of this module, the one-behaviour test its rows replaced: a
+# list of rows runs as one test, a dict as one case per row, named by its key.
+CONTRACTS = {
+    "test_gen_cube_edges": [row("gen cube -k 3", {}, 0, Q3_EDGES)],
+    "test_gen_json_format": [
+        row("gen complete -n 3 --format json", {}, 0, json.dumps(graph_payload("1 2\n1 3\n2 3\n"), indent=2) + "\n")],
+    "test_gen_bad_parameter_exits_2": [row("gen cycle -n 2", {}, 2, err="error: cycle needs n >= 3, got 2\n")],
+    "test_gen_usage_error_exits_2": [usage("gen hexagon -n 6", "wordrep gen: error: argument kind: invalid choice: "
+                                           "'hexagon' (choose from 'complete', 'cycle', 'cube', 'prism', 'product')")],
+    "test_graph_size_above_1000_is_a_usage_error": {f"argv{i}": usage(argv, line) for i, (argv, line) in enumerate([
+        ("gen complete -n 1001", "wordrep gen complete: error: argument -n: must be at most 1000, got 1001"),
+        ("gen cycle -n 100000000", "wordrep gen cycle: error: argument -n: must be at most 1000, got 100000000"),
+        ("gen prism -n 1001", "wordrep gen prism: error: argument -n: must be at most 1000, got 1001"),
+        ("construct prism -n 100000000",
+         "wordrep construct prism: error: argument -n: must be at most 1000, got 100000000"),
+        ("construct complete -n 1001 -k 2",
+         "wordrep construct complete: error: argument -n: must be at most 1000, got 1001")])},
+    "test_copies_per_node_outside_their_range_are_a_usage_error": {
+        "argv0--k: must be at most 1000": usage("construct complete -n 2 -k 100000000", "wordrep construct complete: "
+                                                "error: argument -k: must be at most 1000, got 100000000"),
+        "argv1--k: must be at least 1": usage("construct complete -n 2 -k 0", "wordrep construct complete: "
+                                              "error: argument -k: must be at least 1, got 0"),
+        "argv2--n: must be at most 1000": usage("construct product-kn -n 1000000", "wordrep construct product-kn: "
+                                                "error: argument -n: must be at most 1000, got 1000000"),
+        "argv3--n: must be at least 2": usage("construct product-kn -n 1", "wordrep construct product-kn: "
+                                              "error: argument -n: must be at least 2, got 1")},
+    "test_selftest_is_a_usage_error": [usage("selftest", "wordrep: error: argument command: invalid choice: "
+                                             "'selftest' (choose from 'gen', 'construct', 'check', 'repnum')")],
+    "test_graph_size_1000_is_accepted": [
+        row("construct prism -n 1000 --verify", {}, 0, f"{prism_word(1000)}\n"),
+        row("gen cycle -n 1000", {}, 0, "".join(f"{u} {v}\n" for u, v in sorted(
+            sorted((str(i), str(i % 1000 + 1))) for i in range(1, 1001))))],
+    "test_gen_product": [row("gen product k3 k2", {"k3": "1 2\n1 3\n2 3\n", "k2": "1 2\n"}, 0, PRISM3_EDGES)],
+    "test_construct_cube_and_verify": [row("construct cube -k 2 --verify", {}, 0, "11 00 01 10 00 11 10 01\n"),
+                                       row("construct cube -k 4 --verify", {}, 0, Q4_WORD)],
+    "test_cube_dimension_outside_1_to_20_is_a_usage_error": {
+        f"argv{i}": usage(argv, line) for i, (argv, line) in enumerate([
+            ("gen cube -k 21", "wordrep gen cube: error: argument -k: must be at most 20, got 21"),
+            ("construct cube -k 1200", "wordrep construct cube: error: argument -k: must be at most 20, got 1200"),
+            ("construct cube -k 0", "wordrep construct cube: error: argument -k: must be at least 1, got 0")])},
+    "test_construct_complete": [row("construct complete -n 3 -k 2", {}, 0, "1 2 3 1 2 3\n")],
+    "test_construct_product_k2_from_stdin": [
+        row("construct product-k2 w --verify", {"w": "1 2 1 2\n"}, 0,
+            "1@1 2@1 1@2 1@1 2@2 2@1 1@2 2@2 1@1 1@2 2@1 2@2\n"),
+        # names that continue each other past '@' interleave their copies in name order (x@1,
+        # x@1@1, x@1@2, x@2), so the product graph is relabelled into name order before the
+        # word is verified against it
+        row("construct product-k2 x --verify", {"x": "x x@1 x x@1"}, 0,
+            "x@1 x@1@1 x@2 x@1 x@1@2 x@1@1 x@2 x@1@2 x@1 x@2 x@1@1 x@1@2\n"),
+        row("construct product-kn -n 2 x --verify", {"x": "x x@1 x x@1"}, 0,
+            "x@2 x@1@2 x@1 x@2 x@1@1 x@1@2 x@1 x@1@1 x@2 x@1 x@1@2 x@1@1\n")],
+    "test_construct_product_rejects_1_uniform_input": [row(
+        "construct product-k2 w.1-uniform", {"w.1-uniform": "1 2\n"}, 2,
+        err="error: product constructions need uniformity k > 1, got k = 1; a 1-uniform input genuinely "
+            "fails (its product need not be 2-representable)\n")],
+    # construct's words and gen's graphs, as the commands print them, are accepted by check
+    "test_construct_product_kn_round_trip": [
+        row("construct product-kn -n 3 w --verify", {"w": "1 2 1 2\n"}, 0, K2XK3_WORD),
+        row("check k2xk3.word k2xk3.edges", {"k2xk3.word": K2XK3_WORD, "k2xk3.edges": "1@1 1@2\n1@1 1@3\n1@1 2@1\n"
+                                             "1@2 1@3\n1@2 2@2\n1@3 2@3\n2@1 2@2\n2@1 2@3\n2@2 2@3\n"}, 0)],
+    "test_construct_check_round_trips": [
+        row("construct cube -k 3 --verify", {}, 0, Q3_WORD),
+        row("check q3.word q3.edges", {"q3.word": Q3_WORD, "q3.edges": Q3_EDGES}, 0),
+        row("check prism4.word prism4.edges", {"prism4.word": f"{prism_word(4)}\n", "prism4.edges": PRISM4_EDGES}, 0),
+        row("check k4.word k4.edges", {"k4.word": "1 2 3 4 1 2 3 4\n", "k4.edges": K4_EDGES}, 0)],
+    "test_check_exit_codes": [
+        row("check w c4.edges", {"w": C4_WORD, "c4.edges": C4_EDGES}, 0),
+        row("check w k4.edges", {"w": C4_WORD, "k4.edges": K4_EDGES}, 1),
+        row("check w k4.edges --explain", {"w": C4_WORD, "k4.edges": K4_EDGES}, 1,
+            'pair {1,3}: restriction "3 1 1 3", letters do not alternate but are an edge\n')],
+    "test_explain_names_the_symbols_a_word_and_a_graph_do_not_share": [
+        row("check w.abc g.abd --explain", {"w.abc": "a b c a b c\n", "g.abd": "a b\nb d\n"}, 1,
+            "graph nodes missing from the word: d; word symbols not in the graph: c\n")],
+    "test_construct_product_kn_refuses_two_words": [row(
+        "construct product-kn -n 3 w.two", {"w.two": "1 2 1 2\n1 2 2 1\n"}, 2,
+        err="error: expected exactly one word, found 2\n")],
+    "test_check_empty_word_input_exits_2": [
+        row("check w.none g", {"w.none": "# nothing\n", "g": "1 2\n"}, 2, err="error: word input contains no words\n")],
+    # the second word is the reversal of the first; reversal preserves the graph
+    "test_check_words_from_comments_and_multiple_lines": [
+        row("check w.two c4.edges", {"w.two": "# two representants\n3 1 4 2 1 3 2 4\n4 2 3 1 2 4 1 3\n",
+                                     "c4.edges": C4_EDGES}, 0)],
+    "test_check_picks_the_graph_format_by_content_not_name": [
+        row("check q3.word g.edges", {"q3.word": Q3_WORD, "g.edges": json.dumps(graph_payload(Q3_EDGES), indent=2)}, 0),
+        row("check q3.word g.json", {"q3.word": Q3_WORD, "g.json": Q3_EDGES}, 0)],
+    "test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it": [row(
+        "check w bad.crlf.json", {"w": "a b a b\n", "bad.crlf.json": BAD_CRLF_JSON}, 2,
+        err=f"error: bad graph JSON: {BAD_JSON_LINE}\n")],
+    "test_invalid_utf8_is_one_error_line_and_exit_2": {
+        "w": row("check w.xff g", {"w.xff": b"a \xff a b\n", "g": "a b\n"}, 2, err=UTF8_ERROR),
+        "g": row("check w g.xff", {"w": "a b a b\n", "g.xff": b"a \xff\n"}, 2, err=UTF8_ERROR)},
+    "test_deeply_nested_json_graph_exits_2": {
+        "argv0": row("check w.txt g.json", {"w.txt": "1 2\n", "g.json": DEEP_JSON}, 2, err=TOO_DEEP),
+        "argv1": row("repnum g.json --max-k 1", {"g.json": DEEP_JSON}, 2, err=TOO_DEEP),
+        "argv2": row("gen product a.json b.json", {"a.json": DEEP_JSON, "b.json": DEEP_JSON}, 2, err=TOO_DEEP)},
+    "test_stdin_named_twice_is_a_usage_error": {"argv0": row("gen product - -", {}, 2, err=STDIN_TWICE),
+                                                "argv1": row("check - -", {}, 2, err=STDIN_TWICE)},
+    "test_non_array_json_edges_exit_2": {
+        edges: row(f"repnum {name} --max-k 1", {name: '{"nodes": ["1"], "edges": %s}\n' % edges}, 2,
+                   err="error: 'edges' must be an array of 2-arrays of strings\n")
+        for name, edges in [("e5.json", "5"), ("enull.json", "null")]},
+    "test_repnum_finds_three_prism_number": [row("repnum prism.edges --max-k 3", {"prism.edges": PRISM3_EDGES}, 0,
+                                                 PRISM3_REPNUM)],
+    "test_repnum_unknown_above_bound": [row(
+        "repnum c4.edges --max-k 1", {"c4.edges": C4_EDGES}, 1,
+        repnum_out(C4_EDGES, (1, "exhausted", None, 0)) + "representation number: unknown above k = 1\n")],
+    "test_repnum_rejects_bound_below_1": {
+        bound: usage(f"repnum g --max-k {bound}",
+                     f"wordrep repnum: error: argument --max-k: must be at least 1, got {bound}")
+        for bound in ("0", "-1", "-7")},
+    "test_non_integer_bound_is_a_usage_error": [
+        usage("repnum g --max-k two", "wordrep repnum: error: argument --max-k: invalid int value: 'two'")],
+    "test_repnum_resource_limit": [row(
+        "repnum c4.edges --max-k 3 --budget 4", {"c4.edges": C4_EDGES}, 2,
+        repnum_out(C4_EDGES, (1, "exhausted", None, 0), (2, "resource-limit", None, 0)),
+        "error: query needs 8 word positions, above the budget of 4; raise the budget explicitly to run it\n")],
+    # both symmetry flags are accepted no-ops: alone or together they change no byte of the
+    # output, the explored counts of exhausted k included
+    "test_repnum_symmetry_flags": [
+        row(f"repnum {name} --max-k 3{flags}", {name: edges}, 0, out) for name, edges, out in [
+            ("c4.edges", C4_EDGES, repnum_out(C4_EDGES, (1, "exhausted", None, 0),
+                                              (2, "witness", "1 2 4 1 3 4 2 3", 8), found="1 2 4 1 3 4 2 3")),
+            ("k3k2.edges", K3K2_EDGES, repnum_out(K3K2_EDGES, (1, "exhausted", None, 0), (2, "exhausted", None, 25),
+                                                  (3, "witness", K3K2_WITNESS, 18), found=K3K2_WITNESS))]
+        for flags in ("", " --use-automorphisms", " --use-reversal", " --use-automorphisms --use-reversal")],
+    "test_repnum_rejects_budget_below_1": {
+        budget: usage(f"repnum g --max-k 1 --budget {budget}",
+                      f"wordrep repnum: error: argument --budget: must be at least 1, got {budget}")
+        for budget in ("0", "-1")},
+    "test_missing_file_exits_2": [row("check /nonexistent/w.txt /nonexistent/g.edges", {}, 2,
+                                      err="error: [Errno 2] No such file or directory: '/nonexistent/w.txt'\n")],
+    "test_byte_determinism_of_gen_and_construct": [
+        row("gen cube -k 3 --format json", {}, 0, json.dumps(graph_payload(Q3_EDGES), indent=2) + "\n"),
+        row("construct prism -n 5", {}, 0, "1@1 5@1 2@1 1@2 1@1 3@1 2@2 2@1 4@1 3@2 3@1 5@2 5@1 4@2 4@1 "
+                                           "1@2 5@2 2@2 1@1 1@2 3@2 2@1 2@2 4@2 3@1 3@2 5@1 5@2 4@1 4@2\n")],
+}
+
+
+def check_contract(capsys, monkeypatch, tmp_path, argv, inputs, code, out="", err=""):
+    # the row runs with every input read from its file, then once more per input with that
+    # input piped to stdin as '-', and each run must give the row's bytes
+    data = {name: text if isinstance(text, bytes) else text.encode() for name, text in inputs.items()}
+    for name, text in data.items():
+        (tmp_path / name).write_bytes(text)
+    for piped in (None, *data):
+        args = ["-" if a == piped else str(tmp_path / a) if a in data else a for a in argv]
+        got, got_out, got_err = run(capsys, monkeypatch, args, data.get(piped, b""))
+        assert (got, got_out, pinned(got_err)) == (code, out, err), f"{' '.join(argv)}: {piped} on stdin"
+
+
+def contract_test(rows):
+    if isinstance(rows, dict):
+        @pytest.mark.parametrize("contract", rows.values(), ids=rows.keys())
+        def test(capsys, monkeypatch, tmp_path, contract):
+            check_contract(capsys, monkeypatch, tmp_path, *contract)
+        return test
+
+    def test(capsys, monkeypatch, tmp_path):
+        for contract in rows:
+            check_contract(capsys, monkeypatch, tmp_path, *contract)
+    return test
+
+
+globals().update((name, contract_test(rows)) for name, rows in CONTRACTS.items())
+ROWS = [contract for rows in CONTRACTS.values() for contract in (rows.values() if isinstance(rows, dict) else rows)]
 
 
 def test_gen_product_refuses_an_output_above_the_20_cube(capsys, monkeypatch, tmp_path):
@@ -128,24 +300,14 @@ def test_gen_product_refuses_an_output_above_the_20_cube(capsys, monkeypatch, tm
     for nodes, edges in [(8, 12), (9, 11)]:
         monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", nodes)
         monkeypatch.setattr(graphs, "MAX_PRODUCT_EDGES", edges)
-        code, out, err = run(capsys, argv)
+        code, out, err = run(capsys, monkeypatch, argv)
         assert code == 2 and out == ""
         assert err == (f"error: product graph would have 9 nodes and 12 edges, above the {nodes} nodes "
                        f"of the 17-cube or the {edges} edges of the 20-cube\n")
     monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", 9)
     monkeypatch.setattr(graphs, "MAX_PRODUCT_EDGES", 12)
-    code, out, _ = run(capsys, argv)
+    code, out, _ = run(capsys, monkeypatch, argv)
     assert code == 0 and len(out.splitlines()) == 12
-
-
-def test_construct_cube_and_verify(capsys):
-    code, out, _ = run(capsys, ["construct", "cube", "-k", "2", "--verify"])
-    assert code == 0
-    assert out.strip() == "11 00 01 10 00 11 10 01"
-    code, out, _ = run(capsys, ["construct", "cube", "-k", "4", "--verify"])
-    assert code == 0
-    word = Word(out)
-    assert len(word) == 64 and represents(word, cube(4))
 
 
 def test_construct_verify_rejects_a_word_for_another_graph(capsys, monkeypatch):
@@ -154,7 +316,7 @@ def test_construct_verify_rejects_a_word_for_another_graph(capsys, monkeypatch):
     # word for -n 5 fails the check, and no word is printed
     monkeypatch.setattr("wordrep.cli.prism_word", lambda n: constructions.prism_word(n + 1))
     message = "verification failed: constructed word does not represent the expected graph\n"
-    assert run(capsys, ["construct", "prism", "-n", "5", "--verify"]) == (1, "", message)
+    assert run(capsys, monkeypatch, ["construct", "prism", "-n", "5", "--verify"]) == (1, "", message)
 
 
 def test_out_of_memory_is_one_error_line_and_exit_2(capsys, monkeypatch):
@@ -164,7 +326,7 @@ def test_out_of_memory_is_one_error_line_and_exit_2(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("wordrep.cli.represents", out_of_memory)
-    assert run(capsys, ["construct", "cube", "-k", "3", "--verify"]) == (2, "", "error: out of memory\n")
+    assert run(capsys, monkeypatch, ["construct", "cube", "-k", "3", "--verify"]) == (2, "", "error: out of memory\n")
 
 
 def test_cube_graph_above_17_is_one_error_line_before_the_word_is_built(capsys, monkeypatch):
@@ -173,61 +335,11 @@ def test_cube_graph_above_17_is_one_error_line_before_the_word_is_built(capsys, 
 
     monkeypatch.setattr("wordrep.cli.cube_word", no_word)
     error = "error: cube graph needs k <= 17, got 18: its masks would take 8 GiB\n"
-    assert run(capsys, ["gen", "cube", "-k", "18"]) == (2, "", error)
-    assert run(capsys, ["construct", "cube", "-k", "18", "--verify"]) == (2, "", error)
+    assert run(capsys, monkeypatch, ["gen", "cube", "-k", "18"]) == (2, "", error)
+    assert run(capsys, monkeypatch, ["construct", "cube", "-k", "18", "--verify"]) == (2, "", error)
     # without --verify no graph is built, and the word is printed
     monkeypatch.setattr("wordrep.cli.cube_word", lambda k: Word("a"))
-    assert run(capsys, ["construct", "cube", "-k", "18"]) == (0, "a\n", "")
-
-
-@pytest.mark.parametrize("argv", [["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"],
-                                  ["construct", "cube", "-k", "0"]])
-def test_cube_dimension_outside_1_to_20_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, argv)
-    assert code == 2 and out == ""
-    assert "-k: must be at" in err and "Traceback" not in err
-
-
-def test_construct_complete(capsys):
-    code, out, _ = run(capsys, ["construct", "complete", "-n", "3", "-k", "2"])
-    assert code == 0 and out.strip() == "1 2 3 1 2 3"
-
-
-def test_construct_product_k2_from_stdin(capsys, monkeypatch):
-    code, out, _ = run(
-        capsys, ["construct", "product-k2", "--verify"], stdin="1 2 1 2\n", monkeypatch=monkeypatch
-    )
-    assert code == 0
-    assert out.strip() == "1@1 2@1 1@2 1@1 2@2 2@1 1@2 2@2 1@1 1@2 2@1 2@2"
-    # names that continue each other past '@' interleave their copies in name
-    # order (x@1, x@1@1, x@1@2, x@2), so the product graph is relabelled into
-    # name order before the word is verified against it
-    for argv in (["product-k2"], ["product-kn", "-n", "2"]):
-        assert run(capsys, ["construct", *argv, "--verify"], stdin="x x@1 x x@1", monkeypatch=monkeypatch)[0] == 0
-
-
-def test_construct_product_rejects_1_uniform_input(capsys, monkeypatch):
-    code, _, err = run(
-        capsys, ["construct", "product-k2"], stdin="1 2\n", monkeypatch=monkeypatch
-    )
-    assert code == 2 and "k > 1" in err
-
-
-def test_construct_product_kn_round_trip(capsys, monkeypatch, tmp_path):
-    code, out, _ = run(
-        capsys, ["construct", "product-kn", "-n", "3", "--verify"],
-        stdin="1 2 1 2\n", monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    word_file = tmp_path / "w.txt"
-    word_file.write_text(out)
-    k2 = tmp_path / "k2.edges"
-    k2.write_text(run(capsys, ["gen", "complete", "-n", "2"])[1])
-    k3 = tmp_path / "k3.edges"
-    k3.write_text(run(capsys, ["gen", "complete", "-n", "3"])[1])
-    graph_file = tmp_path / "g.edges"
-    graph_file.write_text(run(capsys, ["gen", "product", str(k2), str(k3)])[1])
-    assert run(capsys, ["check", str(word_file), str(graph_file)])[0] == 0
+    assert run(capsys, monkeypatch, ["construct", "cube", "-k", "18"]) == (0, "a\n", "")
 
 
 def test_construct_product_kn_refuses_an_output_above_the_20_cube_word(capsys, monkeypatch):
@@ -236,65 +348,14 @@ def test_construct_product_kn_refuses_an_output_above_the_20_cube_word(capsys, m
     # check builds 24 letters rather than, say, the 200,200,000 of a
     # 2-uniform word on 200 nodes with -n 1000
     assert constructions.MAX_WORD_LENGTH == 20 * 2 ** 20 == 20_971_520
-    argv = ["construct", "product-kn", "-n", "3"]  # 3 * 2 * (2+3-1) = 24 letters
+    argv = ["construct", "product-kn", "-n", "3"]  # 3 * 2 * (2+3-1) = 24 letters, the word read from stdin
     monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 23)
-    code, out, err = run(capsys, argv, stdin="a b a b", monkeypatch=monkeypatch)
+    code, out, err = run(capsys, monkeypatch, argv, b"a b a b")
     assert code == 2 and out == ""
     assert err == "error: product word would have 24 letters, above the 23 of the 20-cube word\n"
     monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 24)
-    code, out, _ = run(capsys, argv, stdin="a b a b", monkeypatch=monkeypatch)
+    code, out, _ = run(capsys, monkeypatch, argv, b"a b a b")
     assert code == 0 and len(out.split()) == 24
-
-
-def test_construct_check_round_trips(capsys, tmp_path):
-    # every construct subcommand piped into check against its expected graph
-    cases = [
-        (["construct", "cube", "-k", "3"], ["gen", "cube", "-k", "3"]),
-        (["construct", "prism", "-n", "4"], ["gen", "prism", "-n", "4"]),
-        (["construct", "complete", "-n", "4", "-k", "2"], ["gen", "complete", "-n", "4"]),
-    ]
-    for i, (construct_argv, gen_argv) in enumerate(cases):
-        word_file = tmp_path / f"w{i}.txt"
-        word_file.write_text(run(capsys, construct_argv)[1])
-        graph_file = tmp_path / f"g{i}.edges"
-        graph_file.write_text(run(capsys, gen_argv)[1])
-        assert run(capsys, ["check", str(word_file), str(graph_file)])[0] == 0
-
-
-def test_check_exit_codes(capsys, tmp_path):
-    word_file = tmp_path / "w.txt"
-    word_file.write_text("3 1 4 2 1 3 2 4\n")
-    code, out, _ = run(capsys, ["gen", "cycle", "-n", "4"])
-    cycle_file = tmp_path / "c4.edges"
-    cycle_file.write_text(out)
-    code, out, _ = run(capsys, ["gen", "complete", "-n", "4"])
-    k4_file = tmp_path / "k4.edges"
-    k4_file.write_text(out)
-
-    assert run(capsys, ["check", str(word_file), str(cycle_file)])[0] == 0
-    assert run(capsys, ["check", str(word_file), str(k4_file)])[0] == 1
-
-    code, out, _ = run(capsys, ["check", str(word_file), str(k4_file), "--explain"])
-    assert code == 1
-    assert "{1,3}" in out and "3 1 1 3" in out
-
-
-def test_explain_names_the_symbols_a_word_and_a_graph_do_not_share(capsys, tmp_path):
-    # the word lacks the graph's node d and has the symbol c the graph lacks
-    word_file = tmp_path / "w.txt"
-    word_file.write_text("a b c a b c\n")
-    graph_file = tmp_path / "g.edges"
-    graph_file.write_text("a b\nb d\n")
-    code, out, err = run(capsys, ["check", str(word_file), str(graph_file), "--explain"])
-    assert (code, out, err) == (
-        1, "graph nodes missing from the word: d; word symbols not in the graph: c\n", "")
-
-
-def test_construct_product_kn_refuses_two_words(capsys, tmp_path):
-    word_file = tmp_path / "w.txt"
-    word_file.write_text("1 2 1 2\n1 2 2 1\n")
-    code, out, err = run(capsys, ["construct", "product-kn", "-n", "3", str(word_file)])
-    assert (code, out, err) == (2, "", "error: expected exactly one word, found 2\n")
 
 
 def pairwise_explanation(w, g):
@@ -340,126 +401,21 @@ def test_explain_names_the_one_missing_edge_of_the_12_cube():
     assert text.endswith(", letters alternate but are not an edge")
 
 
-def test_check_empty_word_input_exits_2(capsys, monkeypatch, tmp_path):
-    graph_file = tmp_path / "g.edges"
-    graph_file.write_text("1 2\n")
-    code, _, err = run(capsys, ["check", "-", str(graph_file)], stdin="# nothing\n",
-                       monkeypatch=monkeypatch)
-    assert code == 2 and "no words" in err
-
-
-def test_check_words_from_comments_and_multiple_lines(capsys, monkeypatch, tmp_path):
-    graph_file = tmp_path / "g.edges"
-    graph_file.write_text("# the 4-cycle\n1 2\n2 3\n3 4\n1 4\n")
-    # the second word is the reversal of the first; reversal preserves the graph
-    words = "# two representants of the same graph\n3 1 4 2 1 3 2 4\n4 2 3 1 2 4 1 3\n"
-    code, _, _ = run(capsys, ["check", "-", str(graph_file)], stdin=words,
-                     monkeypatch=monkeypatch)
-    assert code == 0
-
-
-def test_check_picks_the_graph_format_by_content_not_name(capsys, monkeypatch, tmp_path):
-    word = run(capsys, ["construct", "cube", "-k", "3"])[1]
-    for fmt, name in (("json", "g.edges"), ("edges", "g.json")):
-        graph_file = tmp_path / name
-        graph_file.write_text(run(capsys, ["gen", "cube", "-k", "3", "--format", fmt])[1])
-        code, out, err = run(capsys, ["check", "-", str(graph_file)], stdin=word,
-                             monkeypatch=monkeypatch)
-        assert (code, out, err) == (0, "", "")
-
-
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 def test_files_read_alike_under_every_line_end(capsys, monkeypatch, tmp_path, end):
-    # files are decoded as UTF-8, and CRLF and lone CR line ends read as LF, as in text mode;
-    # a leading byte-order mark reads as nothing; a graph on stdin, which is read in text
-    # mode, loads as its file does
+    # files and stdin are decoded as UTF-8, and CRLF and lone CR line ends read as LF; a
+    # leading byte-order mark reads as nothing
     g = cartesian_product(cycle(3), complete(2))
-    word = run(capsys, ["construct", "prism", "-n", "3"])[1]
-    files = {"w": "# the 3-prism\n\n" + word, "g.edges": "# the 3-prism\n" + graph_to_edges_text(g),
-             "g.json": graphs.graph_to_json(g)}
     for bom in ("", "\ufeff"):
-        for name, text in files.items():
-            (tmp_path / name).write_bytes((bom + text).replace("\n", end).encode())
-        assert _read_text(str(tmp_path / "w")) == files["w"]
-        for name in ("g.edges", "g.json"):
-            path = str(tmp_path / name)
-            assert parse_graph(_read_text(path)) == g
-            assert run(capsys, ["check", str(tmp_path / "w"), path]) == (0, "", "")
-            found = run(capsys, ["repnum", path, "--max-k", "3"])
-            assert found[0] == 0 and "representation number: 3\n" in found[1]
-            for argv, expected in ((["check", str(tmp_path / "w"), "-"], (0, "", "")),
-                                   (["repnum", "-", "--max-k", "3"], found)):
-                stdin = io.TextIOWrapper(io.BytesIO((tmp_path / name).read_bytes()), encoding="utf-8")
-                monkeypatch.setattr("sys.stdin", stdin)
-                assert run(capsys, argv) == expected
-
-
-def test_malformed_json_with_crlf_ends_is_placed_as_text_mode_placed_it(capsys, tmp_path):
-    # json's wording differs between Python versions, so the expected line is
-    # what the running json says of the text with LF ends; it places the
-    # fault elsewhere in the raw CRLF text
-    crlf, lf = '{"nodes": ["a"],\r\n "edges": [["a", "b"]\r ,]}', '{"nodes": ["a"],\n "edges": [["a", "b"]\n ,]}'
-    messages = []
-    for text in (crlf, lf):
-        with pytest.raises(json.JSONDecodeError) as exc:
-            json.loads(text)
-        messages.append(str(exc.value))
-    assert messages[0] != messages[1]
-    (tmp_path / "w").write_text("a b a b\n")
-    (tmp_path / "g.json").write_bytes(crlf.encode())
-    code, out, err = run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / "g.json")])
-    assert (code, out, err) == (2, "", f"error: bad graph JSON: {messages[1]}\n")
-
-
-@pytest.mark.parametrize("bad", ["w", "g"])
-def test_invalid_utf8_is_one_error_line_and_exit_2(capsys, tmp_path, bad):
-    (tmp_path / "w").write_bytes(b"a \xff a b\n" if bad == "w" else b"a b a b\n")
-    (tmp_path / "g").write_bytes(b"a \xff\n" if bad == "g" else b"a b\n")
-    code, out, err = run(capsys, ["check", str(tmp_path / "w"), str(tmp_path / "g")])
-    assert (code, out) == (2, "")
-    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n"
-
-
-@pytest.mark.parametrize("argv", [["check", "w.txt", "g.json"], ["repnum", "g.json", "--max-k", "1"],
-                                  ["gen", "product", "g.json", "g.json"]])
-def test_deeply_nested_json_graph_exits_2(capsys, monkeypatch, tmp_path, argv):
-    (tmp_path / "w.txt").write_text("1 2\n")
-    (tmp_path / "g.json").write_text('{"nodes": ' + "[" * 100_000 + "\n")
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert err == "error: bad graph JSON: nested too deeply\n"
-
-
-@pytest.mark.parametrize("argv", [["gen", "product", "-", "-"], ["check", "-", "-"]])
-def test_stdin_named_twice_is_a_usage_error(capsys, monkeypatch, argv):
-    code, out, err = run(capsys, argv, stdin="1 2\n", monkeypatch=monkeypatch)
-    assert (code, out) == (2, "")
-    assert err == "error: stdin ('-') can be read only once per command\n"
-
-
-@pytest.mark.parametrize("edges", ["5", "null"])
-def test_non_array_json_edges_exit_2(capsys, tmp_path, edges):
-    graph_file = tmp_path / "g.json"
-    graph_file.write_text('{"nodes": ["1"], "edges": %s}\n' % edges)
-    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "1"])
-    assert code == 2 and out == ""
-    assert "'edges' must be an array" in err
-
-
-def test_repnum_finds_three_prism_number(capsys, tmp_path):
-    code, out, _ = run(capsys, ["gen", "prism", "-n", "3"])
-    graph_file = tmp_path / "prism.edges"
-    graph_file.write_text(out)
-    code, out, _ = run(capsys, ["repnum", str(graph_file), "--max-k", "3"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    outcomes = [json.loads(ln) for ln in lines if ln.startswith("{")]
-    assert [o["result"] for o in outcomes] == ["exhausted", "exhausted", "witness"]
-    assert all(o["millis"] == 0 for o in outcomes)
-    assert "representation number: 3" in lines
-    witness = Word(outcomes[-1]["word"])
-    assert represents(witness, graph_from_edges_text(graph_file.read_text()))
+        data = {name: ends(text, end, bom) for name, text in PRISM3_FILES.items()}
+        for name, text in data.items():
+            (tmp_path / name).write_bytes(text)
+        assert _read_text(str(tmp_path / "w")) == PRISM3_FILES["w"]
+        assert parse_graph(_read_text(str(tmp_path / "edges"))) == parse_graph(_read_text(str(tmp_path / "json"))) == g
+        for fmt in ("edges", "json"):
+            check_contract(capsys, monkeypatch, tmp_path, ["check", "w", fmt], {"w": data["w"], fmt: data[fmt]}, 0)
+            check_contract(capsys, monkeypatch, tmp_path, ["repnum", fmt, "--max-k", "3"], {fmt: data[fmt]}, 0,
+                           PRISM3_REPNUM)
 
 
 @pytest.mark.parametrize("g, max_k, budget, code, queries", [
@@ -475,106 +431,31 @@ def test_repnum_prints_each_outcome_the_scan_yields(capsys, monkeypatch, tmp_pat
     asked = []
     query = search.is_k_representable
     monkeypatch.setattr(search, "is_k_representable", lambda graph, k, **kw: asked.append(k) or query(graph, k, **kw))
-    got, out, _ = run(capsys, ["repnum", str(graph_file), "--max-k", str(max_k), "--budget", str(budget)])
+    argv = ["repnum", str(graph_file), "--max-k", str(max_k), "--budget", str(budget)]
+    got, out, _ = run(capsys, monkeypatch, argv)
     lines = out.splitlines()
     assert got == code and asked == queries
     assert len(expected) == len(queries) and lines[:len(expected)] == expected
     assert not any(ln.startswith("{") for ln in lines[len(expected):])
 
 
-def test_repnum_unknown_above_bound(capsys, tmp_path):
-    graph_file = tmp_path / "c4.edges"
-    graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
-    code, out, _ = run(capsys, ["repnum", str(graph_file), "--max-k", "1"])
-    assert code == 1
-    assert "unknown above k = 1" in out
-
-
-@pytest.mark.parametrize("bound", ["0", "-1", "-7"])
-def test_repnum_rejects_bound_below_1(capsys, tmp_path, bound):
-    graph_file = tmp_path / "k2.edges"
-    graph_file.write_text("1 2\n")
-    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", bound])
-    assert code == 2 and out == ""
-    assert "--max-k: must be at least 1" in err
-
-
-def test_non_integer_bound_is_a_usage_error(capsys, tmp_path):
-    graph_file = tmp_path / "k2.edges"
-    graph_file.write_text("1 2\n")
-    code, _, err = run(capsys, ["repnum", str(graph_file), "--max-k", "two"])
-    assert code == 2 and "invalid int value: 'two'" in err
-
-
-def test_repnum_resource_limit(capsys, tmp_path):
-    graph_file = tmp_path / "c4.edges"
-    graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
-    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "3", "--budget", "4"])
-    assert code == 2
-    outcomes = [json.loads(ln) for ln in out.strip().splitlines()]
-    assert outcomes[-1]["result"] == "resource-limit"
-    assert err == ("error: query needs 8 word positions, above the budget of 4; "
-                   "raise the budget explicitly to run it\n")
-
-
-def test_repnum_deep_query_answers(capsys, tmp_path):
+def test_repnum_deep_query_answers(capsys, monkeypatch, tmp_path):
     # K700 plus an isolated node: k = 1 is exhausted and k = 2 needs 1,402
     # word positions, deeper than Python's default recursion limit
-    code, out, _ = run(capsys, ["gen", "complete", "-n", "700"])
     graph_file = tmp_path / "k700.edges"
-    graph_file.write_text("0\n" + out)
-    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "2", "--budget", "2000"])
+    graph_file.write_text("0\n" + graph_to_edges_text(complete(700)))
+    code, out, err = run(capsys, monkeypatch, ["repnum", str(graph_file), "--max-k", "2", "--budget", "2000"])
     assert (code, err) == (0, "")
     assert "representation number: 2" in out.splitlines()
 
 
-def test_repnum_symmetry_flags(capsys, tmp_path):
-    # both flags are accepted no-ops: alone or together they change no byte
-    # of the output, the explored counts of exhausted k included (C4 and
-    # K3xK2 exhaust k = 1, and K3xK2 k = 2 too)
-    graphs = {"c4": "1 2\n2 3\n3 4\n1 4\n",
-              "k3k2": "a b\nb c\na c\nA B\nB C\nA C\na A\nb B\nc C\n"}
-    for name, edges in graphs.items():
-        graph_file = tmp_path / f"{name}.edges"
-        graph_file.write_text(edges)
-        argv = ["repnum", str(graph_file), "--max-k", "3"]
-        base = run(capsys, argv)
-        assert base[0] == 0 and base[2] == "", name
-        for flags in (["--use-automorphisms"], ["--use-reversal"],
-                      ["--use-automorphisms", "--use-reversal"]):
-            assert run(capsys, argv + flags) == base, (name, flags)
-
-
-@pytest.mark.parametrize("budget", ["0", "-1"])
-def test_repnum_rejects_budget_below_1(capsys, tmp_path, budget):
+def test_repnum_timings_flag(capsys, monkeypatch, tmp_path):
     graph_file = tmp_path / "k2.edges"
     graph_file.write_text("1 2\n")
-    code, out, err = run(capsys, ["repnum", str(graph_file), "--max-k", "1", "--budget", budget])
-    assert code == 2 and out == ""
-    assert "--budget: must be at least 1" in err
-
-
-def test_repnum_timings_flag(capsys, tmp_path):
-    graph_file = tmp_path / "k2.edges"
-    graph_file.write_text("1 2\n")
-    code, out, _ = run(capsys, ["repnum", str(graph_file), "--max-k", "1", "--timings"])
+    code, out, _ = run(capsys, monkeypatch, ["repnum", str(graph_file), "--max-k", "1", "--timings"])
     assert code == 0
     outcome = json.loads(out.splitlines()[0])
     assert outcome["millis"] >= 0
-
-
-def test_missing_file_exits_2(capsys):
-    code, _, err = run(capsys, ["check", "/nonexistent/w.txt", "/nonexistent/g.edges"])
-    assert code == 2
-
-
-def test_byte_determinism_of_gen_and_construct(capsys):
-    first = run(capsys, ["gen", "cube", "-k", "3", "--format", "json"])[1]
-    second = run(capsys, ["gen", "cube", "-k", "3", "--format", "json"])[1]
-    assert first == second
-    first = run(capsys, ["construct", "prism", "-n", "5"])[1]
-    second = run(capsys, ["construct", "prism", "-n", "5"])[1]
-    assert first == second
 
 
 def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_path):
@@ -583,9 +464,9 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     graph_file = tmp_path / "c4.edges"
     graph_file.write_text("1 2\n2 3\n3 4\n1 4\n")
     k4_file = tmp_path / "k4.edges"
-    k4_file.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    k4_file.write_text(K4_EDGES)
     word_file = tmp_path / "w.txt"
-    word_file.write_text("3 1 4 2 1 3 2 4\n")
+    word_file.write_text(C4_WORD)
     g, k4, w = str(graph_file), str(k4_file), str(word_file)
     sequence = [
         ["repnum", g, "--max-k", "2", "--budget", "4"],
@@ -604,14 +485,14 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     def alone(argv):
         _build_parser.cache_clear()
         verified.clear()
-        return run(capsys, argv), len(verified)
+        return run(capsys, monkeypatch, argv), len(verified)
 
     expected = [alone(argv) for argv in sequence]
     _build_parser.cache_clear()
     parser = _build_parser()
     for argv, want in zip(sequence, expected):
         verified.clear()
-        assert (run(capsys, argv), len(verified)) == want, argv
+        assert (run(capsys, monkeypatch, argv), len(verified)) == want, argv
     assert _build_parser() is parser
     # the pairs differ when run alone, so a carried-over flag would show
     assert expected[0] != expected[1] and expected[4] != expected[5]
@@ -619,34 +500,26 @@ def test_parser_reuse_carries_nothing_between_calls(capsys, monkeypatch, tmp_pat
     assert expected[6][1] == 1 and expected[7][1] == 0
 
 
+# argv beyond the contract table's: help, parse errors and arguments that no row runs
 PARSE_TABLE = [
-    [], ["-h"], ["--help"], ["bogus"], ["selftest"], ["-h", "repnum"],
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "repnum"],
     ["--", "repnum", "g", "--max-k", "1"],
-    ["gen"], ["gen", "-h"], ["gen", "hexagon", "-n", "6"], ["gen", "complete", "-n", "3"],
-    ["gen", "cycle", "-n", "4", "--format", "json"], ["gen", "cube", "-k", "3"], ["gen", "cube", "-h"],
-    ["gen", "prism", "-n", "3"], ["gen", "product", "a", "b", "--format", "json"], ["gen", "product", "-", "-"],
+    ["gen"], ["gen", "-h"], ["gen", "complete", "-n", "3"],
+    ["gen", "cycle", "-n", "4", "--format", "json"], ["gen", "cube", "-h"],
+    ["gen", "prism", "-n", "3"], ["gen", "product", "a", "b", "--format", "json"],
     ["gen", "complete", "-n", "3", "--bogus"],
-    ["construct"], ["construct", "-h"], ["construct", "cube", "-k", "3", "--verify"],
-    ["construct", "prism", "-n", "5"], ["construct", "complete", "-n", "3", "-k", "2"],
+    ["construct"], ["construct", "-h"],
     ["construct", "product-k2"], ["construct", "product-k2", "w.txt", "--verify"],
     ["construct", "product-kn", "-n", "3", "w.txt"], ["construct", "product-kn", "-h"],
-    ["check", "w", "g"], ["check", "-", "g", "--explain"], ["check", "-", "-"], ["check", "w"], ["check", "-h"],
+    ["check", "w", "g"], ["check", "-", "g", "--explain"], ["check", "w"], ["check", "-h"],
     ["repnum", "g", "--max-k", "3"], ["repnum", "-", "--max-k", "2", "--budget", "30", "--timings"],
     ["repnum", "g", "--max-k", "3", "--use-automorphisms", "--use-reversal"], ["repnum", "g"], ["repnum", "-h"],
     ["repnum", "g", "--max-k", "1", "extra"],
-    # the usage errors tested above
-    ["gen", "complete", "-n", "1001"], ["gen", "cycle", "-n", "100000000"], ["gen", "prism", "-n", "1001"],
-    ["construct", "prism", "-n", "100000000"], ["construct", "complete", "-n", "1001", "-k", "2"],
-    ["construct", "complete", "-n", "2", "-k", "100000000"], ["construct", "complete", "-n", "2", "-k", "0"],
-    ["construct", "product-kn", "-n", "1000000"], ["construct", "product-kn", "-n", "1"],
-    ["gen", "cube", "-k", "21"], ["construct", "cube", "-k", "1200"], ["construct", "cube", "-k", "0"],
-    ["repnum", "g", "--max-k", "0"], ["repnum", "g", "--max-k", "-1"], ["repnum", "g", "--max-k", "-7"],
-    ["repnum", "g", "--max-k", "two"], ["repnum", "g", "--max-k", "1", "--budget", "0"],
-    ["repnum", "g", "--max-k", "1", "--budget", "-1"],
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "no arguments")
+@pytest.mark.parametrize("argv", PARSE_TABLE + [contract[0] for contract in ROWS],
+                         ids=lambda argv: " ".join(argv) or "no arguments")
 def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
     # main() hands a leading command's arguments to that command's parser;
     # whatever it parses, prints or exits with must be what the full parser

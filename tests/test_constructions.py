@@ -113,7 +113,8 @@ def test_cycle_word():
 
 
 def test_prism_word():
-    for n in range(3, 9):
+    # n = 1000 is the largest prism the CLI builds: 6,000 letters on 2,000 nodes
+    for n in (*range(3, 9), 1000):
         w = prism_word(n)
         assert uniformity(w) == 3
         assert represents(w, cartesian_product(cycle(n), complete(2)))

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import relabel, restriction_alternates
+from conftest import random_graph, relabel, restriction_alternates
 from wordrep import (
     Graph,
     NamingConflictError,
@@ -25,7 +25,7 @@ from wordrep import (
     parse_graph,
     represents,
 )
-from wordrep.cli import _read_text, main
+from wordrep.cli import _read_text
 from wordrep.graphs import _alternation_rows
 
 SEED_WORD = Word("3 1 4 2 1 3 2 4")
@@ -76,7 +76,7 @@ def test_graph_validates_node_names_before_sorting_them(nodes):
 def test_graph_equality_and_hash_ignore_edge_orientation_and_order():
     rng = random.Random(97)
     for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 7))
+        g = random_graph(rng, [str(i) for i in range(1, rng.randint(2, 7) + 1)], 0.5)
         pairs = list(g.edges)
         rng.shuffle(pairs)
         flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
@@ -144,16 +144,11 @@ def test_cartesian_product_examples():
 def test_cartesian_product_counts():
     rng = random.Random(13)
     for _ in range(30):
-        g = random_graph(rng, rng.randint(1, 5))
-        h = random_graph(rng, rng.randint(1, 4), prefix="h")
+        g = random_graph(rng, [str(i) for i in range(1, rng.randint(1, 5) + 1)], 0.5)
+        h = random_graph(rng, [f"h{i}" for i in range(1, rng.randint(1, 4) + 1)], 0.5)
         p = cartesian_product(g, h)
         assert len(p.nodes) == len(g.nodes) * len(h.nodes)
         assert len(p.edges) == len(g.nodes) * len(h.edges) + len(h.nodes) * len(g.edges)
-
-
-def random_graph(rng, size, prefix=""):
-    names = [f"{prefix}{i}" for i in range(1, size + 1)]
-    return Graph(names, [e for e in combinations(names, 2) if rng.random() < 0.5])
 
 
 def test_cartesian_product_naming_conflict():
@@ -215,14 +210,10 @@ def test_cartesian_product_matches_its_definition(pool):
     # in name order: the copies of "x@1" fall between "x@1" and "x@2"
     assert sorted(["x@1", "x@2", "x@1@1", "x@1@2"]) == ["x@1", "x@1@1", "x@1@2", "x@2"]
     rng = random.Random(len(pool[0]) + 29)
-
-    def sample(p):
-        nodes = rng.sample(pool, rng.randint(1, 6))
-        return Graph(nodes, [e for e in combinations(nodes, 2) if rng.random() < p])
-
     continued = set()  # whether a name of g continues another past '@'
     for _ in range(60):
-        g, h = sample(0.5), sample(0.4)
+        g = random_graph(rng, rng.sample(pool, rng.randint(1, 6)), 0.5)
+        h = random_graph(rng, rng.sample(pool, rng.randint(1, 6)), 0.4)
         continued.add(any(b.startswith(a + "@") for a in g.names for b in g.names))
         assert cartesian_product(g, h) == reference_product(g, h), (sorted(g.edges), sorted(h.edges))
     # the '@' pool reaches both the copies in blocks and the interleaved ones
@@ -573,11 +564,10 @@ def test_parse_graph_autodetects_format():
 
 @pytest.mark.parametrize("name", ["g.edges", "g.json", "g.txt", "g"])
 def test_parse_graph_and_check_pick_the_format_by_content_under_any_name(tmp_path, name):
-    # a graph file is read by the CLI's one reader and parsed by its content, whatever its name
+    # a graph file is read by the CLI's one reader and parsed by its content, whatever its name;
+    # check's contract rows run the CLI on a JSON graph named .edges and an edge list named .json
     g = Graph(["a", "b", "c", "lonely"], [("a", "b"), ("b", "c")])
-    path, word = tmp_path / name, tmp_path / "w"
-    word.write_text("lonely lonely a b a c b c\n")
+    path = tmp_path / name
     for text in (graph_to_json(g), graph_to_edges_text(g)):
         path.write_text(text)
         assert parse_graph(_read_text(str(path))) == g
-        assert main(["check", str(word), str(path)]) == 0

@@ -4,6 +4,7 @@ processes, the entry point's exit codes, caches and lazy imports that start
 empty, and refusals and running out of memory under an address-space cap."""
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +15,22 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CAP_KB = 250_000  # the 13-cube's verification fits in this address space, the 15-cube's does not
 
 
-def wordrep(*args, code=0, stdin=None, capped=False):
-    """Run the CLI with ``args`` in a fresh interpreter, ``stdin`` piped in and, if ``capped``, its
-    address space capped at CAP_KB; check that it exits ``code``, and that an exit 2 is one
-    error or usage message, not a traceback.  Returns stdout and stderr."""
-    argv = [sys.executable, "-m", "wordrep.cli", *args]
-    if capped:
-        argv = ["bash", "-c", 'ulimit -v "$0" && exec "$@"', str(CAP_KB), *argv]
+def _cap_address_space():
+    # runs in the forked child before it starts Python; the suite starts no thread, so the fork is safe
+    resource.setrlimit(resource.RLIMIT_AS, (CAP_KB * 1024, CAP_KB * 1024))
+
+
+def wordrep(*args, code=0, stdin=None, capped=False, env=None):
+    """Run the CLI with ``args`` in a fresh interpreter, with ``env`` added to this one's environment,
+    ``stdin`` (text or bytes) piped in and, if ``capped``, its address space capped at CAP_KB; check
+    that it exits ``code``, and that an exit 2 is one error or usage message, not a traceback.
+    Returns stdout and stderr."""
     # below the 60 s each test gets, so that a hung process fails its own test
-    done = subprocess.run(argv, input=stdin, capture_output=True, text=True, timeout=50,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    out, err = done.stdout, done.stderr
+    done = subprocess.run([sys.executable, "-m", "wordrep.cli", *args], capture_output=True, timeout=50,
+                          input=stdin.encode() if isinstance(stdin, str) else stdin,
+                          env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
+                          preexec_fn=_cap_address_space if capped else None)
+    out, err = done.stdout.decode(), done.stderr.decode()
     assert done.returncode == code, (args, err)
     if code == 2:
         assert (err.startswith("usage: ") and "Traceback" not in err
@@ -93,3 +99,20 @@ def test_outputs_above_their_bounds_are_refused_before_they_are_built(tmp_path):
 def test_running_out_of_memory_is_one_error_line():
     assert wordrep("construct", "cube", "-k", "15", "--verify", code=2, capped=True)[1] == "error: out of memory\n"
     assert len(wordrep("construct", "cube", "-k", "13", "--verify", capped=True)[0].split()) == 13 * 2 ** 13
+
+
+def test_stdin_is_decoded_as_a_file_is_under_any_locale_encoding(tmp_path):
+    # stdin's bytes are decoded from UTF-8 in one piece, as a file's are, so an invalid byte is the
+    # same error line from both, whatever encoding the environment gives stdin's text layer
+    word, graph, latin1_graph, xff_word = (str(tmp_path / name) for name in ("w", "g", "g.latin1", "w.xff"))
+    Path(word).write_text("a b a b\n")
+    Path(graph).write_text("a b\n")
+    Path(latin1_graph).write_bytes(b"# caf\xe9\na b\n")
+    Path(xff_word).write_bytes(b"a \xff a b\n")
+    for env in (None, {"PYTHONIOENCODING": "latin-1"}):
+        for args, bad in [(["check", word, "-"], latin1_graph), (["repnum", "-", "--max-k", "1"], latin1_graph),
+                          (["check", "-", graph], xff_word)]:
+            from_file = wordrep(*(bad if a == "-" else a for a in args), code=2, env=env)
+            piped = wordrep(*args, code=2, stdin=Path(bad).read_bytes(), env=env)
+            assert piped == from_file, (env, args)
+            assert from_file[1].startswith("error: 'utf-8' codec can't decode byte "), (env, args)

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import all_graphs, reference_search, restriction_alternates
+from conftest import all_graphs, random_graph, reference_search, restriction_alternates
 from wordrep import (
     Graph,
     SearchOutcome,
@@ -499,8 +499,7 @@ def _random_named_graph(rng):
     edges drawn at a random density, and often an isolated node or more."""
     pool = ["a", "b", "z", "0", "10", "x_1", "A@b", "a@0", "0@1@2", "_"]
     names = rng.sample(pool, rng.randint(1, 9))
-    p = rng.choice([0.0, 0.3, 0.7, 1.0])
-    return Graph(names, [(u, v) for u, v in combinations(names, 2) if rng.random() < p])
+    return random_graph(rng, names, rng.choice([0.0, 0.3, 0.7, 1.0]))
 
 
 def test_outcome_json_is_the_full_payload_dumped_at_once():
