@@ -21,6 +21,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    _check_product_nodes,
     _graph_json,
     cartesian_product,
     complete,
@@ -41,19 +42,14 @@ def _read_text(path: str) -> str:
     one piece, whatever the locale, so an invalid byte is the same error from both; a leading
     byte-order mark reads as nothing, and CRLF and lone CR line ends read as LF."""
     if path == "-":
+        if sys.stdin is None:  # the process started with stdin closed
+            raise ValueError("stdin ('-') is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
     text = data.decode().removeprefix("\ufeff")
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
-def _read_one_word(path: str) -> Word:
-    words = parse_words(_read_text(path))
-    if len(words) != 1:
-        raise ValueError(f"expected exactly one word, found {len(words)}")
-    return words[0]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -84,14 +80,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "complete":
         word = complete_word(args.n, args.k)
         expected = lambda: complete(args.n)
-    elif args.kind == "product-k2":
-        base = _read_one_word(args.word)
-        word = product_k2_word(base)
-        expected = lambda: cartesian_product(graph_of_word(base), complete(2))
-    else:
-        base = _read_one_word(args.word)
-        word = product_kn_word(base, args.n)
-        expected = lambda: cartesian_product(graph_of_word(base), complete(args.n))
+    else:  # product-k2 or product-kn: the word is counted, then the graph's nodes, then the base is swept
+        words = parse_words(_read_text(args.word))
+        if len(words) != 1:
+            raise ValueError(f"expected exactly one word, found {len(words)}")
+        base, n = words[0], getattr(args, "n", 2)
+        word = product_kn_word(base, n) if args.kind == "product-kn" else product_k2_word(base)
+        if args.verify:
+            _check_product_nodes(len(base.counts) * n)
+        expected = lambda: cartesian_product(graph_of_word(base), complete(n))
     if args.verify and not represents(word, expected()):
         print("verification failed: constructed word does not represent the expected graph", file=sys.stderr)
         return 1

@@ -6,8 +6,9 @@ result represents the Cartesian product of the original graph with a
 complete graph, using "x@j" for copy j of node x.  Stacking the two-copy
 construction, with copies named x0 and x1 from the start, yields a
 k-uniform representant of the k-dimensional cube over bitstring names.
-Each word is a concatenation of occurrence-based-function images: no
-name it derives is validated, and no construction verifies its output.
+Every product word, each level of the cube word included, is built and
+counted by one step, ``_product``.  No name it derives is validated, and
+no construction verifies its output.
 """
 from __future__ import annotations
 
@@ -25,21 +26,7 @@ from .obf import OccurrenceBasedFunction, apply
 from .words import Word, _check_names, _concat, uniformity
 
 
-def _require_uniform_above_1(w: Word) -> int:
-    k = uniformity(w)
-    if k is None:
-        raise ValueError("product constructions need a uniform word")
-    if k <= 1:
-        raise ValueError(
-            f"product constructions need uniformity k > 1, got k = {k}; "
-            "a 1-uniform input genuinely fails (its product need not be 2-representable)"
-        )
-    return k
-
-
-def _copy_functions(
-    alphabet: Iterable[str], k: int, suffixes: Sequence[str]
-) -> list[OccurrenceBasedFunction]:
+def _copy_functions(alphabet: Iterable[str], k: int, suffixes: Sequence[str]) -> list[OccurrenceBasedFunction]:
     """product_kn_functions with copy j of symbol x, x_j, named
     x + suffixes[j - 1].  Each symbol's copy names are built once and not
     validated: x@j, x0 and x1 are valid names iff x is.
@@ -55,15 +42,39 @@ def _copy_functions(
     return [OccurrenceBasedFunction._trusted(k, dict(zip(xs, row))) for row in rows]
 
 
+# the longest word a construction builds: the 20-cube word's 20,971,520 letters
+MAX_WORD_LENGTH = MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION
+
+
+def _product(w: Word, suffixes: Sequence[str], order: Iterable[int]) -> Word:
+    """The one product step: the images of k-uniform ``w``, k > 1, under
+    its copy functions, copy j of x named x + suffixes[j - 1], concatenated
+    in ``order`` (indices into ``suffixes``).  The output's n * m * (k+n-1)
+    letters, for n suffixes and m nodes, are counted before it is built,
+    and a count above MAX_WORD_LENGTH is refused.
+    """
+    k = uniformity(w)
+    if k is None:
+        raise ValueError("product constructions need a uniform word")
+    if k <= 1:
+        raise ValueError(f"product constructions need uniformity k > 1, got k = {k}; a 1-uniform input "
+                         "genuinely fails (its product need not be 2-representable)")
+    n = len(suffixes)
+    if (length := n * len(w.counts) * (k + n - 1)) > MAX_WORD_LENGTH:
+        raise ValueError(f"product word would have {length:,} letters, above the {MAX_WORD_LENGTH:,} "
+                         f"of the {MAX_CUBE_DIMENSION}-cube word")
+    fs = _copy_functions(w.counts, k, suffixes)
+    return _concat([apply(fs[i], w) for i in order])
+
+
 def product_k2_word(w: Word) -> Word:
     """A (k+1)-uniform word representing graph_of_word(w) times K2.
 
     Requires k-uniform input with k > 1; node copies are named x@1, x@2.
-    It is the n = 2 product word with its two images in the other order.
+    It is the n = 2 product word with its two images in the other order,
+    and its output is counted as that word's is.
     """
-    k = _require_uniform_above_1(w)
-    f, g = _copy_functions(w.alphabet, k, ("@1", "@2"))
-    return apply(f, w) + apply(g, w)
+    return _product(w, ("@1", "@2"), (0, 1))
 
 
 def product_kn_functions(alphabet: Iterable[str], k: int, n: int) -> list[OccurrenceBasedFunction]:
@@ -86,25 +97,13 @@ def product_kn_word(w: Word, n: int) -> Word:
 
     Requires k-uniform input with k > 1 and n >= 2; copies named x@1..x@n.
     For n = 2 this represents the same graph as product_k2_word(w) but the
-    letter order differs, so compare graphs, not words.  The output's
-    n * m * (k+n-1) letters, for m nodes, are counted before it is built,
-    and a count above MAX_WORD_LENGTH is refused.
+    letter order differs, so compare graphs, not words.  Its n * m * (k+n-1)
+    letters, for m nodes, are counted first; above MAX_WORD_LENGTH it is refused.
     """
     if n < 2:
         raise ValueError(f"product needs n >= 2 copies, got {n}")
-    k = _require_uniform_above_1(w)
-    length = n * len(w.counts) * (k + n - 1)
-    if length > MAX_WORD_LENGTH:
-        raise ValueError(
-            f"product word would have {length:,} letters, above the {MAX_WORD_LENGTH:,} "
-            f"of the {MAX_CUBE_DIMENSION}-cube word"
-        )
-    fs = _copy_functions(w.alphabet, k, [f"@{j}" for j in range(1, n + 1)])
-    return _concat([apply(f, w) for f in reversed(fs)])
+    return _product(w, [f"@{j}" for j in range(1, n + 1)], range(n - 1, -1, -1))
 
-
-# the longest word a construction builds: the 20-cube word's 20,971,520 letters
-MAX_WORD_LENGTH = MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION
 
 # 2-uniform seed for the 2-cube: the 4-cycle word 31421324 under the frozen
 # node bijection 1 -> 00, 2 -> 10, 3 -> 11, 4 -> 01.
@@ -124,9 +123,7 @@ def cube_word(k: int) -> Word:
         return Word._trusted(("0", "1"))
     if k == 2:
         return Word._trusted(_CUBE2_WORD)
-    prev = cube_word(k - 1)
-    f, g = _copy_functions(prev.alphabet, k - 1, ("0", "1"))
-    return apply(f, prev) + apply(g, prev)
+    return _product(cube_word(k - 1), ("0", "1"), (0, 1))
 
 
 def complete_word(n: int, k: int) -> Word:

@@ -164,6 +164,12 @@ MAX_CUBE_DIMENSION, _MAX_CUBE_GRAPH = 20, 17
 MAX_PRODUCT_NODES, MAX_PRODUCT_EDGES = 1 << _MAX_CUBE_GRAPH, MAX_CUBE_DIMENSION << MAX_CUBE_DIMENSION - 1
 
 
+def _check_product_nodes(nodes: int) -> None:  # a product's nodes, counted before either factor is built
+    if nodes > MAX_PRODUCT_NODES:
+        raise ValueError(f"product graph would have {nodes:,} nodes, above the {MAX_PRODUCT_NODES:,} nodes of the "
+                         f"{_MAX_CUBE_GRAPH}-cube")
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product on nodes "a@b": edges move along one factor at a time.
     Its size is counted first, and one above either bound is refused."""

@@ -343,19 +343,42 @@ def test_cube_graph_above_17_is_one_error_line_before_the_word_is_built(capsys, 
 
 
 def test_construct_product_kn_refuses_an_output_above_the_20_cube_word(capsys, monkeypatch):
-    # the output is counted before it is built: n * m * (k+n-1) letters, at
-    # most the 20-cube word's; the bound is lowered here so that a missing
-    # check builds 24 letters rather than, say, the 200,200,000 of a
-    # 2-uniform word on 200 nodes with -n 1000
+    # both products' output is counted before it is built: n * m * (k+n-1)
+    # letters, at most the 20-cube word's; the bound is lowered here so that
+    # a missing check builds 12 or 24 letters rather than, say, the
+    # 200,200,000 of a 2-uniform word on 200 nodes with -n 1000
     assert constructions.MAX_WORD_LENGTH == 20 * 2 ** 20 == 20_971_520
-    argv = ["construct", "product-kn", "-n", "3"]  # 3 * 2 * (2+3-1) = 24 letters, the word read from stdin
-    monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 23)
-    code, out, err = run(capsys, monkeypatch, argv, b"a b a b")
-    assert code == 2 and out == ""
-    assert err == "error: product word would have 24 letters, above the 23 of the 20-cube word\n"
-    monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", 24)
-    code, out, _ = run(capsys, monkeypatch, argv, b"a b a b")
-    assert code == 0 and len(out.split()) == 24
+    # the word is read from stdin: 2 * 2 * (2+2-1) = 12 and 3 * 2 * (2+3-1) = 24 letters
+    for argv, length in [(["construct", "product-k2"], 12), (["construct", "product-kn", "-n", "3"], 24)]:
+        monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", length - 1)
+        code, out, err = run(capsys, monkeypatch, argv, b"a b a b")
+        assert code == 2 and out == ""
+        assert err == f"error: product word would have {length} letters, above the {length - 1} of the 20-cube word\n"
+        monkeypatch.setattr(constructions, "MAX_WORD_LENGTH", length)
+        code, out, _ = run(capsys, monkeypatch, argv, b"a b a b")
+        assert code == 0 and len(out.split()) == length
+
+
+def test_construct_product_verify_counts_the_product_graph_before_it_sweeps_the_base_word(capsys, monkeypatch):
+    # --verify counts the product graph's m * n nodes before graph_of_word
+    # sweeps the base word, whose rows take m^2 / 8 bytes; the bound is
+    # lowered to 9 so that a late check shows as one sweep of a 3-node word
+    swept = []
+
+    def spy(w):
+        swept.append(w)
+        return graph_of_word(w)
+
+    monkeypatch.setattr("wordrep.cli.graph_of_word", spy)
+    argv = ["construct", "product-kn", "-n", "4", "--verify"]  # 3 * 4 = 12 nodes
+    for nodes in (9, 11):
+        monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", nodes)
+        assert run(capsys, monkeypatch, argv, b"a b c a b c") == (
+            2, "", f"error: product graph would have 12 nodes, above the {nodes} nodes of the 17-cube\n")
+    assert swept == []
+    monkeypatch.setattr(graphs, "MAX_PRODUCT_NODES", 12)
+    code, out, _ = run(capsys, monkeypatch, argv, b"a b c a b c")
+    assert code == 0 and len(out.split()) == 60 and swept == [Word("a b c a b c")]
 
 
 def pairwise_explanation(w, g):

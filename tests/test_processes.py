@@ -15,21 +15,24 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CAP_KB = 250_000  # the 13-cube's verification fits in this address space, the 15-cube's does not
 
 
-def _cap_address_space():
-    # runs in the forked child before it starts Python; the suite starts no thread, so the fork is safe
-    resource.setrlimit(resource.RLIMIT_AS, (CAP_KB * 1024, CAP_KB * 1024))
-
-
-def wordrep(*args, code=0, stdin=None, capped=False, env=None):
+def wordrep(*args, code=0, stdin=None, capped=False, closed_stdin=False, env=None):
     """Run the CLI with ``args`` in a fresh interpreter, with ``env`` added to this one's environment,
-    ``stdin`` (text or bytes) piped in and, if ``capped``, its address space capped at CAP_KB; check
-    that it exits ``code``, and that an exit 2 is one error or usage message, not a traceback.
-    Returns stdout and stderr."""
+    ``stdin`` (text or bytes) piped in or, if ``closed_stdin``, fd 0 closed and, if ``capped``, its
+    address space capped at CAP_KB; check that it exits ``code``, and that an exit 2 is one error or
+    usage message, not a traceback.  Returns stdout and stderr."""
+
+    def preexec():
+        # runs in the forked child before it starts Python; the suite starts no thread, so the fork is safe
+        if capped:
+            resource.setrlimit(resource.RLIMIT_AS, (CAP_KB * 1024, CAP_KB * 1024))
+        if closed_stdin:
+            os.close(0)
+
     # below the 60 s each test gets, so that a hung process fails its own test
     done = subprocess.run([sys.executable, "-m", "wordrep.cli", *args], capture_output=True, timeout=50,
                           input=stdin.encode() if isinstance(stdin, str) else stdin,
                           env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
-                          preexec_fn=_cap_address_space if capped else None)
+                          preexec_fn=preexec if capped or closed_stdin else None)
     out, err = done.stdout.decode(), done.stderr.decode()
     assert done.returncode == code, (args, err)
     if code == 2:
@@ -116,3 +119,11 @@ def test_stdin_is_decoded_as_a_file_is_under_any_locale_encoding(tmp_path):
             piped = wordrep(*args, code=2, stdin=Path(bad).read_bytes(), env=env)
             assert piped == from_file, (env, args)
             assert from_file[1].startswith("error: 'utf-8' codec can't decode byte "), (env, args)
+
+
+def test_a_closed_stdin_is_one_error_line(tmp_path):
+    # started with fd 0 closed, Python sets sys.stdin to None; a command that names '-', or whose word
+    # defaults to it, says so in one line and exits 2
+    (tmp_path / "g").write_text("a b\n")
+    for args in (["check", "-", str(tmp_path / "g")], ["repnum", "-", "--max-k", "1"], ["construct", "product-k2"]):
+        assert wordrep(*args, code=2, closed_stdin=True) == ("", "error: stdin ('-') is closed\n"), args
